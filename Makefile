@@ -1,5 +1,5 @@
 # Single source of truth for the repo's build/lint/test commands: CI invokes
-# these targets, so `make check` locally is byte-identical to what CI runs.
+# these targets, so `make check` locally runs the same gates CI does.
 #
 # The module is pure stdlib (go.mod has no requirements), so the external
 # lint tools cannot be pinned through a tools.go import — there is nothing
@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: build test race bench-smoke skylint skylint-test skylint-violations annotate staticcheck govulncheck vet fmt-check lint check clean
+.PHONY: build test race skylint skylint-test skylint-violations annotate staticcheck govulncheck vet fmt-check lint check clean
 
 build:
 	go build ./...
@@ -22,16 +22,6 @@ test:
 
 race:
 	go test -race ./...
-
-# The E18 scale sweep at a tiny scale (~1000 objects): proves the whole
-# bench harness — size sweep, sharded neighbor join, radius sweep, planner
-# introspection — end to end in seconds. CI runs this so a broken bench is
-# caught before anyone regenerates BENCH_*.json. E20 exercises the morsel
-# scheduler sweep (workers × gomaxprocs × shards) the same way.
-bench-smoke:
-	go run ./cmd/skybench -run E18 -scale 3.4e-6
-	go run ./cmd/skybench -run E19 -scale 3.4e-6
-	go run ./cmd/skybench -run E20 -scale 3.4e-6
 
 # skylint is the project's own analyzer suite (cmd/skylint): batch
 # ownership, raw record offsets, NaN-safe comparisons, interrupted marks,
@@ -99,6 +89,13 @@ fmt-check:
 
 lint: skylint staticcheck govulncheck
 
+# The offline gate: formatting, vet, build, the analyzer suite with its
+# fixture and deliberate-violation checks, and `go test ./...` — which also
+# runs the end-to-end benchmark's smoke test in bench/. CI runs these plus
+# the steps that need no target here: the race detector, the query engine
+# at 1 and 4 CPUs, the parser fuzz smoke, the `-bench . -benchtime 1x`
+# compile smoke, the skygen → skyload → skyquery run, and the two
+# network-fetched linters (staticcheck, govulncheck).
 check: fmt-check vet build skylint-test skylint skylint-violations test
 
 clean:

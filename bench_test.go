@@ -4,7 +4,8 @@ package sdss
 // performance claims and the design-choice ablations. Each wraps the
 // corresponding experiment in internal/expt, which prints the
 // paper-versus-measured table; the benchmark numbers time a full
-// regeneration of that experiment. EXPERIMENTS.md records the outputs.
+// regeneration of that experiment. `go run ./bench` measures the archive
+// end to end.
 
 import (
 	"io"
@@ -57,8 +58,6 @@ func BenchmarkDataLoading(b *testing.B)          { runExperiment(b, expt.DataLoa
 func BenchmarkCartesianVsTrig(b *testing.B)      { runExperiment(b, expt.CartesianVsTrig) }
 func BenchmarkASAPFirstResult(b *testing.B)      { runExperiment(b, expt.ASAPFirstResult) }
 func BenchmarkIndexVsScanCrossover(b *testing.B) { runExperiment(b, expt.IndexVsScanCrossover) }
-func BenchmarkShardScatterGather(b *testing.B)   { runExperiment(b, expt.ShardScatterGather) }
-func BenchmarkZoneMapPruning(b *testing.B)       { runExperiment(b, expt.ZoneMapPruning) }
 func BenchmarkContainerDepth(b *testing.B)       { runExperiment(b, expt.AblationContainerDepth) }
 func BenchmarkCoverageRangesVsList(b *testing.B) { runExperiment(b, expt.AblationCoverageRanges) }
 func BenchmarkCoverDepthSelection(b *testing.B)  { runExperiment(b, expt.AblationCoverDepth) }

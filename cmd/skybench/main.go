@@ -23,12 +23,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("skybench: ")
 	var (
-		scale  = flag.Float64("scale", 1e-4, "fraction of the full 3e8-object survey to simulate")
-		seed   = flag.Int64("seed", 1, "random seed")
-		nodes  = flag.Int("nodes", 20, "simulated cluster width")
-		shards = flag.Int("shards", 8, "shard slices for the scatter-gather experiment (E15)")
-		run    = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		list   = flag.Bool("list", false, "list experiments and exit")
+		scale = flag.Float64("scale", 1e-4, "fraction of the full 3e8-object survey to simulate")
+		seed  = flag.Int64("seed", 1, "random seed")
+		nodes = flag.Int("nodes", 20, "simulated cluster width")
+		run   = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -45,9 +44,9 @@ func main() {
 			want[strings.TrimSpace(strings.ToUpper(id))] = true
 		}
 	}
-	cfg := expt.Config{Scale: *scale, Seed: *seed, Nodes: *nodes, Shards: *shards}
-	fmt.Printf("skybench: scale %g (%d objects), seed %d, %d nodes, %d shards\n",
-		*scale, cfg.Objects(), *seed, *nodes, *shards)
+	cfg := expt.Config{Scale: *scale, Seed: *seed, Nodes: *nodes}
+	fmt.Printf("skybench: scale %g (%d objects), seed %d, %d nodes\n",
+		*scale, cfg.Objects(), *seed, *nodes)
 	start := time.Now()
 	failed := 0
 	for _, e := range all {

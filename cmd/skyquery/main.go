@@ -43,7 +43,6 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "abort the query after this duration (0 = none)")
 		noZone  = flag.Bool("nozone", false, "disable zone-map container pruning")
 		noKern  = flag.Bool("nokernel", false, "disable vectorized filter kernels over compressed column blocks")
-		fullDec = flag.Bool("fulldecode", false, "decode full record structs instead of selective column reads")
 	)
 	flag.Parse()
 	q := strings.TrimSpace(strings.Join(flag.Args(), " "))
@@ -57,7 +56,6 @@ func main() {
 	}
 	a.Engine().NoZone = *noZone
 	a.Engine().NoKernel = *noKern
-	a.Engine().FullDecode = *fullDec
 
 	if *explain {
 		prep, err := a.Prepare(q)

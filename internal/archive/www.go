@@ -11,6 +11,7 @@ import (
 
 	"sdss/internal/qe"
 	"sdss/internal/query"
+	"sdss/internal/store"
 )
 
 // WWW is the public web tier of Figure 2 — "A WWW server will provide
@@ -133,29 +134,23 @@ func (w *WWW) handleStatus(rw http.ResponseWriter, req *http.Request) {
 	st.Shards = w.Engine.NumShards()
 	st.Workers = w.Engine.PoolSize()
 	st.GoMaxProcs = runtime.GOMAXPROCS(0)
-	if w.Engine.Photo != nil {
-		st.PhotoRecords = w.Engine.Photo.NumRecords()
-		st.PhotoBytes = w.Engine.Photo.Bytes()
-		st.NumContainers = w.Engine.Photo.NumContainers()
-		st.ShardRecords = w.Engine.Photo.ShardRecords()
-		st.ZoneMapBytes += w.Engine.Photo.ZoneBytes()
-		enc, raw := w.Engine.Photo.ColBlkBytes()
+	for _, t := range []struct {
+		s       *store.Sharded
+		records *int64
+	}{{w.Engine.Photo, &st.PhotoRecords}, {w.Engine.Tag, &st.TagRecords}, {w.Engine.Spec, &st.SpecRecords}} {
+		if t.s == nil {
+			continue
+		}
+		*t.records = t.s.NumRecords()
+		st.ZoneMapBytes += t.s.ZoneBytes()
+		enc, raw := t.s.ColBlkBytes()
 		st.ColBlkEncodedBytes += enc
 		st.ColBlkRawBytes += raw
 	}
-	if w.Engine.Tag != nil {
-		st.TagRecords = w.Engine.Tag.NumRecords()
-		st.ZoneMapBytes += w.Engine.Tag.ZoneBytes()
-		enc, raw := w.Engine.Tag.ColBlkBytes()
-		st.ColBlkEncodedBytes += enc
-		st.ColBlkRawBytes += raw
-	}
-	if w.Engine.Spec != nil {
-		st.SpecRecords = w.Engine.Spec.NumRecords()
-		st.ZoneMapBytes += w.Engine.Spec.ZoneBytes()
-		enc, raw := w.Engine.Spec.ColBlkBytes()
-		st.ColBlkEncodedBytes += enc
-		st.ColBlkRawBytes += raw
+	if p := w.Engine.Photo; p != nil {
+		st.PhotoBytes = p.Bytes()
+		st.NumContainers = p.NumContainers()
+		st.ShardRecords = p.ShardRecords()
 	}
 	st.JobsQueued, st.JobsRunning, st.JobsFinished = w.Jobs.Counts()
 	writeJSON(rw, http.StatusOK, st)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"sdss/internal/htm"
 	"sdss/internal/load"
 	"sdss/internal/qe"
 	"sdss/internal/region"
@@ -17,8 +16,8 @@ import (
 
 // AblationContainerDepth sweeps the clustering-unit granularity: shallower
 // containers mean fewer, larger units (cheap loads, coarse pruning); deeper
-// containers prune queries harder but multiply load touches. DESIGN.md
-// fixes depth 5 as the default; this ablation justifies it.
+// containers prune queries harder but multiply load touches.
+// store.DefaultContainerDepth fixes depth 5; this ablation justifies it.
 func AblationContainerDepth(cfg Config, w io.Writer) error {
 	section(w, "A1", "ablation: container depth (clustering-unit granularity)")
 	ch, err := skygen.GenerateChunk(skygen.Default(cfg.Seed+9, cfg.Objects()), 0, 1)
@@ -179,17 +178,8 @@ func All() []Experiment {
 		{"E12", "Cartesian vs trigonometry", CartesianVsTrig},
 		{"E13", "ASAP first result", ASAPFirstResult},
 		{"E14", "index vs scan crossover", IndexVsScanCrossover},
-		{"E15", "sharded scatter-gather", ShardScatterGather},
-		{"E16", "zone-map pruning + selective decode", ZoneMapPruning},
-		{"E17", "photo⋈spec join execution", PhotoSpecJoin},
-		{"E18", "scale sweep", ScaleSweep},
-		{"E19", "columnar blocks + filter kernels", FilterKernels},
-		{"E20", "morsel scheduler sweep", ParallelMorsels},
 		{"A1", "ablation: container depth", AblationContainerDepth},
 		{"A2", "ablation: coverage ranges", AblationCoverageRanges},
 		{"A3", "ablation: coverage depth", AblationCoverDepth},
 	}
 }
-
-// htm import is load-bearing for the doc reference above.
-var _ = htm.MaxDepth

@@ -5,16 +5,14 @@
 //
 // Experiments run at a configurable scale of the full survey (3×10⁸
 // photometric objects). Extrapolations to paper scale always state the
-// factor; EXPERIMENTS.md records paper-versus-measured for every row.
+// factor. End-to-end numbers for the archive as a whole come from the
+// benchmark under bench/, not from this package.
 package expt
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"runtime"
 	"sync"
-	"time"
 
 	"sdss/internal/catalog"
 	"sdss/internal/core"
@@ -33,10 +31,6 @@ type Config struct {
 	Seed int64
 	// Nodes is the simulated cluster width (default 20, the paper's).
 	Nodes int
-	// Shards is the store slice count for the shared harness archive and
-	// the wide side of the scatter-gather experiment (default 8 there,
-	// 1 for the shared archive so the paper experiments are unchanged).
-	Shards int
 }
 
 // Objects returns the synthetic catalog size at this scale.
@@ -64,22 +58,13 @@ func (c Config) nodes() int {
 	return 20
 }
 
-func (c Config) shards() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return 8
-}
-
 // Harness holds the built archive shared by the experiments.
 type Harness struct {
 	Cfg     Config
 	Archive *core.Archive
-	// Chunks is the survey chunk by chunk (HarnessChunks of them); Photo
-	// and Spec are the same rows concatenated.
-	Chunks []*skygen.Chunk
-	Photo  []catalog.PhotoObj
-	Spec   []catalog.SpecObj
+	// Photo and Spec are the survey's rows, chunk after chunk.
+	Photo []catalog.PhotoObj
+	Spec  []catalog.SpecObj
 }
 
 var (
@@ -87,51 +72,10 @@ var (
 	harnessCache = map[Config]*Harness{}
 )
 
-// BenchBestOf is the repetition count of every timed measurement: each
-// query runs BenchBestOf+1 times, the first warms caches and pools, and the
-// best of the rest is reported. The JSON records carry the count so sub-ms
-// entries are read as best-of-N, not single-shot noise.
-const BenchBestOf = 4
-
-// BenchEnv records the machine context a benchmark ran under — without it
-// a committed BENCH_*.json number is unreproducible: a 4-worker speedup on
-// a 1-core container legitimately reads ~1.0×.
-type BenchEnv struct {
-	// GoMaxProcs is the runtime's scheduler width at measurement time.
-	GoMaxProcs int `json:"gomaxprocs"`
-	// Workers is the engine morsel-pool size the run used (0 = engine
-	// default, which is GoMaxProcs).
-	Workers int `json:"workers"`
-	// BestOf is the repetition count behind every timing (BenchBestOf).
-	BestOf int `json:"best_of"`
-}
-
-// Env captures the current benchmark environment with the given engine
-// worker setting.
-func Env(workers int) BenchEnv {
-	return BenchEnv{GoMaxProcs: runtime.GOMAXPROCS(0), Workers: workers, BestOf: BenchBestOf}
-}
-
-// bestOf times one measured function BenchBestOf+1 times (first run warms)
-// and returns the best post-warm duration.
-func bestOf(run func() error) (time.Duration, error) {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i <= BenchBestOf; i++ {
-		start := time.Now()
-		if err := run(); err != nil {
-			return 0, err
-		}
-		if t := time.Since(start); i > 0 && t < best {
-			best = t
-		}
-	}
-	return best, nil
-}
-
-// HarnessChunks is the chunk count the harness survey is generated with.
-// Chunked generation seeds per (chunk, nChunks), so anything regenerating
-// the harness data chunk by chunk (the E17 disk arm) must use this count.
-const HarnessChunks = 4
+// harnessChunks is the chunk count the harness survey is generated with.
+// Chunked generation seeds per (chunk, nChunks), so changing it changes
+// the survey every experiment measures.
+const harnessChunks = 4
 
 // NewHarness generates the survey at the configured scale and loads it into
 // an in-memory archive. Harnesses are cached per Config, so a bench run
@@ -148,7 +92,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 	// worker channels, and holding harnessMu across them would stall every
 	// concurrent experiment on one build. Two racing builders at most waste
 	// one generation; the re-check below keeps the cache single-valued.
-	chunks, err := skygen.Generate(skygen.Default(cfg.Seed+1, cfg.Objects()), HarnessChunks)
+	chunks, err := skygen.Generate(skygen.Default(cfg.Seed+1, cfg.Objects()), harnessChunks)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +110,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 	a.Sort()
-	h := &Harness{Cfg: cfg, Archive: a, Chunks: chunks, Photo: photo, Spec: spec}
+	h := &Harness{Cfg: cfg, Archive: a, Photo: photo, Spec: spec}
 	harnessMu.Lock()
 	defer harnessMu.Unlock()
 	if cached, ok := harnessCache[cfg]; ok {

@@ -109,12 +109,12 @@ func (kp *kernelPlan) name() string {
 }
 
 // compileKernel builds the kernel plan for a leaf scan, or nil when the
-// scan must run the row path: kernels are disabled (NoKernel, or the
-// FullDecode baseline), the store keeps no column blocks, or the predicate
-// offers neither exactness nor a single range to prefilter on (a purely
-// spatial or flag-mask predicate gains nothing from decoding columns).
+// scan must run the row path: kernels are disabled (NoKernel), the store
+// keeps no column blocks, or the predicate offers neither exactness nor a
+// single range to prefilter on (a purely spatial or flag-mask predicate
+// gains nothing from decoding columns).
 func (e *Engine) compileKernel(cs *query.CompiledSelect, st *store.Sharded, sp *scanPlan) *kernelPlan {
-	if e.NoKernel || e.FullDecode || !st.ColBlkEnabled() {
+	if e.NoKernel || !st.ColBlkEnabled() {
 		return nil
 	}
 	spec := query.ColumnSpecs(cs.Table)

@@ -85,18 +85,14 @@ type Engine struct {
 	// It exists for the index-versus-scan crossover experiment (E14).
 	NoIndex bool
 	// NoZone disables zone-map container pruning, so scans visit every
-	// coverage candidate regardless of predicate bounds. It exists for the
-	// zone-map experiment (E16) and as an escape hatch.
+	// coverage candidate regardless of predicate bounds. It is an escape
+	// hatch and the unpruned side of the zone-map conformance tests.
 	NoZone bool
 	// NoKernel disables the vectorized filter kernels over compressed
-	// column blocks, forcing every scan onto the legacy row loop. It exists
-	// for the kernel experiment (E19) and as an escape hatch mirroring
-	// NoZone.
+	// column blocks, forcing every scan onto the row loop. It is an escape
+	// hatch mirroring NoZone and the row side of the kernel conformance
+	// tests.
 	NoKernel bool
-	// FullDecode replaces the selective offset-based attribute reads with
-	// the legacy full-struct decode of every record. It exists as the
-	// measured baseline of experiment E16.
-	FullDecode bool
 
 	// The engine-wide morsel scheduler (morsel.go), created on first
 	// dispatch and shared by every query on this engine.
@@ -113,7 +109,7 @@ func (e *Engine) Clone() *Engine {
 		Photo: e.Photo, Tag: e.Tag, Spec: e.Spec,
 		CoverDepth: e.CoverDepth, Workers: e.Workers, MorselRows: e.MorselRows,
 		BatchSize: e.BatchSize, Blocking: e.Blocking, NoIndex: e.NoIndex,
-		NoZone: e.NoZone, NoKernel: e.NoKernel, FullDecode: e.FullDecode,
+		NoZone: e.NoZone, NoKernel: e.NoKernel,
 	}
 }
 

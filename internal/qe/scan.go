@@ -10,40 +10,9 @@ import (
 	"sdss/internal/store"
 )
 
-// rowAccessor is what a scan worker needs from a decoder: position on a
-// record, attribute access for the compiled predicate and projection, and
-// the object identity. Two implementations exist: the selective offset-based
-// query.RowReader (default — reads only referenced attributes) and the
-// legacy full-struct decoders of attr.go (Engine.FullDecode, kept as the
-// measured baseline of experiment E16).
-type rowAccessor interface {
-	reset(rec []byte) error
-	objID() catalog.ObjID
-	getter() query.Getter
-}
-
-// selectiveRow adapts query.RowReader to the accessor interface.
-type selectiveRow struct{ rr *query.RowReader }
-
-func (s selectiveRow) reset(rec []byte) error { return s.rr.Reset(rec) }
-func (s selectiveRow) objID() catalog.ObjID   { return s.rr.ObjID() }
-func (s selectiveRow) getter() query.Getter   { return s.rr.Get }
-
-// newAccessor builds the per-worker row accessor.
-func (e *Engine) newAccessor(t query.Table) (rowAccessor, error) {
-	if e.FullDecode {
-		return newDecoder(t)
-	}
-	rr, err := query.NewRowReader(t)
-	if err != nil {
-		return nil, err
-	}
-	return selectiveRow{rr: rr}, nil
-}
-
-// scanWorker is one scan goroutine's working state: the row accessor, the
-// column reader with its selection scratch, and the current output batch
-// carved from the pool.
+// scanWorker is one scan goroutine's working state: the selective row
+// reader, the column reader with its selection scratch, and the current
+// output batch carved from the pool.
 type scanWorker struct {
 	cs       *query.CompiledSelect
 	sp       *scanPlan
@@ -51,8 +20,8 @@ type scanWorker struct {
 	rangeSet *htm.RangeSet
 	stats    *opStats
 
-	acc    rowAccessor
-	getter query.Getter
+	rr     *query.RowReader
+	getter query.Getter // rr.Get, bound once for the compiled predicate
 
 	// Kernel-path scratch, reused across containers: the column reader's
 	// decode buffers, the selection vector, and the per-output key slices.
@@ -111,8 +80,8 @@ func (w *scanWorker) scanContainer(cid htm.ID) (int, bool) {
 	return w.scanRows(cid)
 }
 
-// scanRows is the legacy row loop: reset the accessor on every record, run
-// the compiled predicate, project through the getter.
+// scanRows is the row loop: point the reader at every record, run the
+// compiled predicate, project through the getter.
 func (w *scanWorker) scanRows(cid htm.ID) (int, bool) {
 	examined := 0
 	err := w.st.ForEachInContainer(cid, func(rec []byte) error {
@@ -122,13 +91,13 @@ func (w *scanWorker) scanRows(cid htm.ID) (int, bool) {
 		if w.rangeSet != nil && !w.rangeSet.Contains(w.st.KeyOf(rec)) {
 			return nil
 		}
-		if err := w.acc.reset(rec); err != nil {
+		if err := w.rr.Reset(rec); err != nil {
 			return err
 		}
 		if w.cs.Pred != nil && !w.cs.Pred(w.getter) {
 			return nil
 		}
-		res := Result{ObjID: w.acc.objID(), Key: w.st.KeyOf(rec)}
+		res := Result{ObjID: w.rr.ObjID(), Key: w.st.KeyOf(rec)}
 		if w.sp.width > 0 {
 			start := len(w.vals)
 			for _, col := range w.cs.Cols {
@@ -157,7 +126,7 @@ func (w *scanWorker) scanRows(cid htm.ID) (int, bool) {
 // cannot match dismisses the container without unpacking a code), then the
 // branch-free range filters build a selection vector over decoded key
 // columns, and only survivors materialize — from keys for stored
-// attributes, through the row accessor for derived ones and any residual
+// attributes, through the row reader for derived ones and any residual
 // predicate.
 func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int, bool) {
 	kp := w.sp.kernel
@@ -225,7 +194,7 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 	for _, si := range sel[:n] {
 		i := int(si)
 		if kp.needRow {
-			if err := w.acc.reset(data[i*recSize : (i+1)*recSize]); err != nil {
+			if err := w.rr.Reset(data[i*recSize : (i+1)*recSize]); err != nil {
 				w.err = err
 				return count, false
 			}
@@ -255,7 +224,7 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 }
 
 // newScanWorker builds one pooled scan worker for a leaf scan job: the row
-// accessor, the kernel reader when the plan compiled one, and the first
+// reader, the kernel reader when the plan compiled one, and the first
 // batch buffer. The batch buffer comes from the pool; Values of all its
 // results are carved out of one backing array sized for a full batch, so
 // the per-record path allocates nothing. Every successful emit transfers
@@ -264,14 +233,14 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 // post-flush buffer) is the job's to recycle at finish. The worker's shard
 // store (w.st) and emit are bound per morsel by the scheduler.
 func newScanWorker(e *Engine, o *scanOp) (*scanWorker, error) {
-	acc, err := e.newAccessor(o.cs.Table)
+	rr, err := query.NewRowReader(o.cs.Table)
 	if err != nil {
 		return nil, err
 	}
 	bs := e.batchSize()
 	w := &scanWorker{
 		cs: o.cs, sp: o.plan, rangeSet: o.rangeSet, stats: o.stats,
-		acc: acc, getter: acc.getter(),
+		rr: rr, getter: rr.Get,
 		bs: bs, flushAt: min(initialFlushAt, bs), batch: getBatch(bs),
 	}
 	if o.plan.kernel != nil {

@@ -12,14 +12,16 @@ import (
 	"sdss/internal/store"
 )
 
-// baselineEngine clones an engine into the pre-zone-map configuration: no
-// HTM pruning, no zone pruning, full-struct decode. Its results are the
-// ground truth zone-pruned scans must reproduce exactly.
+// baselineEngine clones an engine into the unpruned configuration: no HTM
+// pruning, no zone pruning, no column kernels — every record goes through
+// the row loop. Its results are the ground truth zone-pruned scans must
+// reproduce exactly; query.TestRowReaderMatchesStructCodecs ties the row
+// loop's reads to the catalog struct codecs.
 func baselineEngine(e *Engine) *Engine {
 	b := e.Clone()
 	b.NoIndex = true
 	b.NoZone = true
-	b.FullDecode = true
+	b.NoKernel = true
 	return b
 }
 
@@ -68,8 +70,8 @@ var zonePropertyQueries = []string{
 }
 
 // TestZonePruningConservative is the acceptance property: zone-pruned,
-// selectively decoded results are identical to a NoIndex full scan with
-// full-struct decodes, across the seeded query grid, on 1 and 3 shards.
+// kernel-filtered results are identical to a NoIndex full row-loop scan,
+// across the seeded query grid, on 1 and 3 shards.
 func TestZonePruningConservative(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		e := testShardArchive(t, 6000, 7, shards)
@@ -273,59 +275,40 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// Decode micro-benchmarks: the selective offset-based path versus the
-// full-struct decode, per record, for both the wide photo rows and the
-// compact tag rows. The benchmarked work is reset + predicate-shaped reads
+// BenchmarkSelectiveDecode times the row loop's per-record work over the
+// wide photo rows and the compact tag rows: reset + a predicate-shaped read
 // (r magnitude) + identity, the inner loop of a magnitude-cut scan.
-func benchRecords(b *testing.B, table query.Table) [][]byte {
-	b.Helper()
-	e, photo, _ := testArchive(b, 512, 21)
-	_ = e
-	recs := make([][]byte, 0, len(photo))
-	for i := range photo {
-		switch table {
-		case query.TablePhoto:
-			recs = append(recs, photo[i].AppendTo(nil))
-		case query.TableTag:
-			tag := catalog.MakeTag(&photo[i])
-			recs = append(recs, tag.AppendTo(nil))
-		}
-	}
-	return recs
+func BenchmarkSelectiveDecode(b *testing.B) {
+	b.Run("photo", func(b *testing.B) { benchmarkDecode(b, query.TablePhoto) })
+	b.Run("tag", func(b *testing.B) { benchmarkDecode(b, query.TableTag) })
 }
 
-func benchmarkDecode(b *testing.B, table query.Table, full bool) {
-	recs := benchRecords(b, table)
-	e := &Engine{FullDecode: full}
-	acc, err := e.newAccessor(table)
+func benchmarkDecode(b *testing.B, table query.Table) {
+	_, photo, _ := testArchive(b, 512, 21)
+	recs := make([][]byte, 0, len(photo))
+	attr := query.PhotoR
+	for i := range photo {
+		if table == query.TablePhoto {
+			recs = append(recs, photo[i].AppendTo(nil))
+		} else {
+			tag := catalog.MakeTag(&photo[i])
+			recs = append(recs, tag.AppendTo(nil))
+			attr = query.TagR
+		}
+	}
+	rr, err := query.NewRowReader(table)
 	if err != nil {
 		b.Fatal(err)
-	}
-	get := acc.getter()
-	attr := query.TagR
-	if table == query.TablePhoto {
-		attr = query.PhotoR
 	}
 	b.SetBytes(int64(len(recs[0])))
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		rec := recs[i%len(recs)]
-		if err := acc.reset(rec); err != nil {
+		if err := rr.Reset(recs[i%len(recs)]); err != nil {
 			b.Fatal(err)
 		}
-		sink += get(attr)
-		_ = acc.objID()
+		sink += rr.Get(attr)
+		_ = rr.ObjID()
 	}
 	_ = sink
-}
-
-func BenchmarkSelectiveDecode(b *testing.B) {
-	b.Run("photo", func(b *testing.B) { benchmarkDecode(b, query.TablePhoto, false) })
-	b.Run("tag", func(b *testing.B) { benchmarkDecode(b, query.TableTag, false) })
-}
-
-func BenchmarkFullDecode(b *testing.B) {
-	b.Run("photo", func(b *testing.B) { benchmarkDecode(b, query.TablePhoto, true) })
-	b.Run("tag", func(b *testing.B) { benchmarkDecode(b, query.TableTag, true) })
 }

@@ -32,7 +32,8 @@ import (
 
 // DefaultContainerDepth is the HTM depth of container keys: depth 5 divides
 // the sky into 8192 trixels of ~5 deg², balancing container count against
-// skew for clustered catalogs (see DESIGN.md ablation E-container-depth).
+// skew for clustered catalogs (ablation A1, expt.AblationContainerDepth,
+// sweeps the alternatives).
 const DefaultContainerDepth = 5
 
 // Options configures a store.
