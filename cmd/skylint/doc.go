@@ -1,7 +1,8 @@
 // Command skylint is the archive's project-specific static-analysis suite:
-// eight analyzers that mechanically enforce the engine's convention-only
+// seven analyzers that mechanically enforce the engine's convention-only
 // invariants, from batch ownership to the morsel pool's deadlock
-// discipline.
+// discipline. Copies of qe.Engine need no analyzer of their own: the
+// engine holds a sync.Once, so stock `go vet` (copylocks) rejects them.
 //
 // # Analyzers
 //
@@ -27,9 +28,6 @@
 //	lockheld    no blocking operation or inconsistently-ordered second
 //	            acquisition while holding a mutex; lock-order inversions
 //	            report both witness sites.
-//	enginecopy  structs transitively embedding sync primitives (qe.Engine
-//	            foremost) are never copied by value; Engine.Clone is the
-//	            sanctioned derivation path.
 //
 // # Function summaries
 //

@@ -11,7 +11,6 @@ import (
 	"sdss/internal/lint/batchown"
 	"sdss/internal/lint/ctxcancel"
 	"sdss/internal/lint/dropmark"
-	"sdss/internal/lint/enginecopy"
 	"sdss/internal/lint/lockheld"
 	"sdss/internal/lint/nansafe"
 	"sdss/internal/lint/rawoffset"
@@ -27,7 +26,6 @@ var analyzers = []*analysis.Analyzer{
 	ctxcancel.Analyzer,
 	slotheld.Analyzer,
 	lockheld.Analyzer,
-	enginecopy.Analyzer,
 }
 
 // finding is the NDJSON record -json emits, one per line.

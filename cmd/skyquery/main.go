@@ -41,8 +41,6 @@ func main() {
 		explain = flag.Bool("explain", false, "print the logical and physical plans (with zone-map fanout) instead of executing")
 		analyze = flag.Bool("analyze", false, "with -explain: execute the query and report actual rows and timing per operator")
 		timeout = flag.Duration("timeout", 0, "abort the query after this duration (0 = none)")
-		noZone  = flag.Bool("nozone", false, "disable zone-map container pruning")
-		noKern  = flag.Bool("nokernel", false, "disable vectorized filter kernels over compressed column blocks")
 	)
 	flag.Parse()
 	q := strings.TrimSpace(strings.Join(flag.Args(), " "))
@@ -54,8 +52,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a.Engine().NoZone = *noZone
-	a.Engine().NoKernel = *noKern
 
 	if *explain {
 		prep, err := a.Prepare(q)

@@ -35,8 +35,6 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "concurrent batch jobs (0 = 2)")
 		jobQueue   = flag.Int("job-queue", 0, "batch admission queue depth (0 = 32)")
 		jobTTL     = flag.Duration("job-ttl", 0, "finished job retention (0 = 15m)")
-		noZone     = flag.Bool("nozone", false, "disable zone-map container pruning")
-		noKern     = flag.Bool("nokernel", false, "disable vectorized filter kernels over compressed column blocks")
 	)
 	flag.Parse()
 
@@ -44,8 +42,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a.Engine().NoZone = *noZone
-	a.Engine().NoKernel = *noKern
 	www := archive.NewWWW(a.Engine())
 	www.MaxRows = *maxRows
 	www.MaxTimeout = *maxTimeout

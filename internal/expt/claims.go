@@ -530,19 +530,31 @@ func ASAPFirstResult(cfg Config, w io.Writer) error {
 	q := "SELECT objid, r FROM photoobj WHERE r < 23"
 	engine := h.Archive.Engine()
 	measure := func(blocking bool) (first, total time.Duration, n int, err error) {
-		engine.Blocking = blocking
-		defer func() { engine.Blocking = false }()
 		start := time.Now()
 		rows, err := engine.ExecuteString(context.Background(), q)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		for b := range rows.C {
+		deliver := func(b qe.Batch) {
 			if first == 0 && len(b) > 0 {
 				first = time.Since(start)
 			}
 			n += len(b)
 			qe.RecycleBatch(b)
+		}
+		// The blocking arm drains the whole stream into memory before it
+		// hands on its first batch, as a node that withholds results until
+		// its input is complete would.
+		var held []qe.Batch
+		for b := range rows.C {
+			if blocking {
+				held = append(held, b)
+			} else {
+				deliver(b)
+			}
+		}
+		for _, b := range held {
+			deliver(b)
 		}
 		return first, time.Since(start), n, rows.Err()
 	}
@@ -580,12 +592,15 @@ func IndexVsScanCrossover(cfg Config, w io.Writer) error {
 		return err
 	}
 	section(w, "E14", "index lookup vs full scan: selectivity crossover")
-	engine := h.Archive.Engine()
+	indexed := h.Archive.Engine()
+	fullScan := &qe.Engine{
+		Photo: h.Archive.PhotoStore(), Tag: h.Archive.TagStore(), Spec: h.Archive.SpecStore(),
+		CoverDepth: indexed.CoverDepth, Workers: indexed.Workers, MorselRows: indexed.MorselRows,
+		NoIndex: true,
+	}
 	ctx := context.Background()
 	center := h.Photo[0]
-	run := func(radiusArcmin float64, noIndex bool) (time.Duration, float64, error) {
-		engine.NoIndex = noIndex
-		defer func() { engine.NoIndex = false }()
+	run := func(radiusArcmin float64, engine *qe.Engine) (time.Duration, float64, error) {
 		q := fmt.Sprintf("SELECT COUNT(*) FROM photoobj WHERE CIRCLE(%v, %v, %g)",
 			center.RA, center.Dec, radiusArcmin)
 		best := time.Duration(math.MaxInt64)
@@ -610,11 +625,11 @@ func IndexVsScanCrossover(cfg Config, w io.Writer) error {
 	tbl := stats.NewTable("Cone radius", "Selectivity", "Indexed", "Full scan", "Index wins")
 	total := float64(len(h.Photo))
 	for _, radius := range []float64{1, 5, 20, 60, 240, 1200, 5400} {
-		idxT, n1, err := run(radius, false)
+		idxT, n1, err := run(radius, indexed)
 		if err != nil {
 			return err
 		}
-		scanT, n2, err := run(radius, true)
+		scanT, n2, err := run(radius, fullScan)
 		if err != nil {
 			return err
 		}
@@ -629,6 +644,3 @@ func IndexVsScanCrossover(cfg Config, w io.Writer) error {
 	fmt.Fprint(w, tbl)
 	return nil
 }
-
-// unused guard for the qe import when experiments evolve.
-var _ = qe.DefaultCoverDepth

@@ -596,8 +596,7 @@ func isRecycleCall(call *ast.CallExpr) bool {
 // block: its channel is a local made once with make(chan T, len(xs)), this
 // is the only send site to that channel, and the send executes at most once
 // per iteration of a single `range xs` loop — the "completion send buffered
-// to the fan-out width" idiom (qe's Blocking replay, the river exchange
-// tests). Function literals crossed on the way up must be immediately
+// to the fan-out width" idiom (the river exchange tests). Function literals crossed on the way up must be immediately
 // invoked (go/defer/call), so they run at most once per crossing.
 func (w *factWalker) provenBuffered(send *ast.SendStmt) bool {
 	return ProvenBuffered(w.info, w.body, send)

@@ -12,8 +12,8 @@
 //   - lockflow: shared lock-set dataflow (lock identity, held-set walk,
 //     blocking-operation classification) used by lockheld and slotheld.
 //   - batchown, rawoffset, nansafe, dropmark, ctxcancel, slotheld,
-//     lockheld, enginecopy: the analyzers. See cmd/skylint's package doc
-//     for the invariant each one enforces.
+//     lockheld: the analyzers. See cmd/skylint's package doc for the
+//     invariant each one enforces.
 //
 // The suppression golden test in this package pins the tree-wide count of
 // //lint:skylint-ignore directives so suppressions can only be added with

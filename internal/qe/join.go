@@ -167,7 +167,8 @@ func (e *Engine) partitionDepth(radius float64, buildScan *scanOp, buildEst floa
 // selL/selR the sides' per-container predicate selectivities. A same-table
 // join subtracts the identity pairs (each shared object pairs with itself
 // at distance zero) before scaling, since the executor excludes them. When
-// histograms are unavailable (NoZone, absent containers) the contribution
+// histograms are unavailable (mismatched container depths, absent
+// containers) the contribution
 // falls back to uniform scatter within the container — still footprint-
 // aware, never a hard-coded constant. The exact-ID residual selectivity
 // (WHERE a.objid < b.objid keeps one orientation per pair) scales the total.
@@ -206,7 +207,7 @@ func (e *Engine) neighborEstRows(cj *query.CompiledJoin, left, right *scanOp) fl
 			if lc <= 0 || rc.cnt <= 0 {
 				continue
 			}
-			if !e.NoZone && depthsMatch {
+			if depthsMatch {
 				nL, qL, okL := left.st.PairStats(cid, rel)
 				nR, qR, okR := right.st.PairStats(cid, rel)
 				if okL && okR && nL > 0 && nR > 0 {

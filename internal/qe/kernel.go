@@ -62,7 +62,7 @@ type kernelPlan struct {
 	exact bool
 	// never marks a predicate no stored record can satisfy: every container
 	// is dismissed outright (the planner's empty-access shortcut normally
-	// catches this first, but NoZone keeps full-scan baselines honest).
+	// catches this first).
 	never bool
 	preds []kernelPred
 	outs  []outCol
@@ -109,12 +109,12 @@ func (kp *kernelPlan) name() string {
 }
 
 // compileKernel builds the kernel plan for a leaf scan, or nil when the
-// scan must run the row path: kernels are disabled (NoKernel), the store
-// keeps no column blocks, or the predicate offers neither exactness nor a
-// single range to prefilter on (a purely spatial or flag-mask predicate
-// gains nothing from decoding columns).
+// scan must run the row path: the engine is a test's row-loop reference,
+// the store keeps no column blocks, or the predicate offers neither
+// exactness nor a single range to prefilter on (a purely spatial or
+// flag-mask predicate gains nothing from decoding columns).
 func (e *Engine) compileKernel(cs *query.CompiledSelect, st *store.Sharded, sp *scanPlan) *kernelPlan {
-	if e.NoKernel || !st.ColBlkEnabled() {
+	if e.noKernel || !st.ColBlkEnabled() {
 		return nil
 	}
 	spec := query.ColumnSpecs(cs.Table)

@@ -11,13 +11,11 @@ import (
 	"sdss/internal/store"
 )
 
-// rowEngine clones an engine with the vectorized kernels disabled, so every
-// scan runs the legacy row loop. Zone pruning stays on: the property under
-// test is the kernel path alone.
+// rowEngine builds an engine over e's stores with the vectorized kernels
+// disabled, so every scan runs the row loop. Zone pruning stays on: the
+// property under test is the kernel path alone.
 func rowEngine(e *Engine) *Engine {
-	r := e.Clone()
-	r.NoKernel = true
-	return r
+	return &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, noKernel: true}
 }
 
 // kernelPropertyQueries covers every kernel shape: exact key-range kernels

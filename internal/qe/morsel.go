@@ -183,7 +183,7 @@ func (p *pool) worker(slot int) {
 		steals := j.steals
 		p.mu.Unlock()
 		if done {
-			// On its own goroutine: a finish hook may flush withheld batches
+			// On its own goroutine: a finish hook flushes worker remainders
 			// (blocking sends) and must not do so while holding a pool slot.
 			go j.finish(steals)
 		}
@@ -322,11 +322,6 @@ type scanJob struct {
 	outs      []chan Batch   // scanPerShard outputs
 	shardLeft []atomic.Int32 // scanPerShard: morsels left per shard
 
-	// blocked holds withheld batches in Blocking comparison mode (E13):
-	// one list per shard stream (index 0 for scanStream).
-	blockMu sync.Mutex
-	blocked [][]Batch
-
 	foldMu sync.Mutex
 	folds  []contFold
 
@@ -339,15 +334,7 @@ type scanJob struct {
 }
 
 func (o *scanOp) newJob(ctx context.Context, rows *Rows, mode scanMode) *scanJob {
-	j := &scanJob{e: o.e, op: o, ctx: ctx, rows: rows, mode: mode}
-	if o.e.Blocking {
-		n := 1
-		if mode == scanPerShard {
-			n = len(o.st.Shards())
-		}
-		j.blocked = make([][]Batch, n)
-	}
-	return j
+	return &scanJob{e: o.e, op: o, ctx: ctx, rows: rows, mode: mode}
 }
 
 // dispatch hands the job's morsels to the scheduler. Zero morsels finish
@@ -436,42 +423,6 @@ func (j *scanJob) emitTo(out chan Batch) func(Batch) bool {
 	}
 }
 
-// emitBlocked withholds batches for Blocking comparison mode (E13).
-func (j *scanJob) emitBlocked(s int) func(Batch) bool {
-	return func(b Batch) bool {
-		j.blockMu.Lock()
-		j.blocked[s] = append(j.blocked[s], b)
-		j.blockMu.Unlock()
-		return true
-	}
-}
-
-// flushBlocked releases one stream's withheld batches after its morsels
-// completed (Blocking mode only).
-func (j *scanJob) flushBlocked(s int) {
-	j.blockMu.Lock()
-	bl := j.blocked[s]
-	j.blocked[s] = nil
-	j.blockMu.Unlock()
-	out := j.out
-	if j.mode == scanPerShard {
-		out = j.outs[s]
-	}
-	for i, b := range bl {
-		select {
-		case out <- b:
-		case <-j.ctx.Done():
-			// The withheld batches are dropped: the consumer must learn the
-			// blocking-mode result is partial.
-			j.rows.interrupted.Store(true)
-			for _, rest := range bl[i:] {
-				RecycleBatch(rest)
-			}
-			return
-		}
-	}
-}
-
 func (j *scanJob) fail(err error) {
 	if err == context.Canceled {
 		j.rows.interrupted.Store(true)
@@ -530,14 +481,9 @@ func (j *scanJob) runUnit(u unit) {
 		return
 	}
 
-	switch {
-	case j.e.Blocking && j.mode == scanPerShard:
-		w.emit = j.emitBlocked(u.shard)
-	case j.e.Blocking:
-		w.emit = j.emitBlocked(0)
-	case j.mode == scanPerShard:
+	if j.mode == scanPerShard {
 		w.emit = j.emitTo(j.outs[u.shard])
-	default:
+	} else {
 		w.emit = j.emitTo(j.out)
 	}
 	for _, cid := range u.cids {
@@ -564,18 +510,7 @@ func (j *scanJob) runUnit(u unit) {
 // unitDone runs after every morsel, including skipped ones: in per-shard
 // mode the shard's stream closes when its last morsel accounts itself.
 func (j *scanJob) unitDone(u unit) {
-	if j.mode != scanPerShard {
-		return
-	}
-	if j.shardLeft[u.shard].Add(-1) == 0 {
-		if j.e.Blocking {
-			s := u.shard
-			go func() {
-				j.flushBlocked(s)
-				close(j.outs[s])
-			}()
-			return
-		}
+	if j.mode == scanPerShard && j.shardLeft[u.shard].Add(-1) == 0 {
 		close(j.outs[u.shard])
 	}
 }
@@ -615,9 +550,6 @@ func (j *scanJob) finish(steals int64) {
 	}
 	switch j.mode {
 	case scanStream:
-		if j.e.Blocking {
-			j.flushBlocked(0)
-		}
 		close(j.out)
 	case scanFold:
 		j.finishFold()

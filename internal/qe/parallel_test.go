@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sdss/internal/query"
 )
 
 // canonicalTotal sorts a result set into a total deterministic order: by
@@ -71,8 +69,8 @@ func TestWorkerShardPropertyGrid(t *testing.T) {
 			var want []Result
 			for _, shards := range []int{1, 8} {
 				for _, workers := range []int{1, 2, 8} {
-					e := engines[shards].Clone()
-					e.Workers = workers
+					s := engines[shards]
+					e := &Engine{Photo: s.Photo, Tag: s.Tag, Spec: s.Spec, Workers: workers}
 					got := mustCollect(t, e, tc.q)
 					if !tc.ordered {
 						canonicalTotal(got)
@@ -97,31 +95,11 @@ func TestExplainAnalyzeReportsMorsels(t *testing.T) {
 	e, _ := shardedArchive(t, 6000, 3, 8)
 	e.Workers = 4
 	e.MorselRows = 64 // many small morsels so the pool genuinely fans out
-	prep, err := query.PrepareString("SELECT objid, r FROM tag WHERE r < 21.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.PlanAnalyze(prep, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := e.ExecutePlan(context.Background(), plan, ExecOptions{Analyze: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, rows := openAnalyzed(t, e, "SELECT objid, r FROM tag WHERE r < 21.5")
 	if _, err := rows.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	scan := plan.Describe()
-	for scan != nil && scan.Op != "scan" {
-		if len(scan.Children) == 0 {
-			t.Fatalf("no scan node in plan:\n%s", plan.Text())
-		}
-		scan = scan.Children[0]
-	}
-	if scan.Actual == nil {
-		t.Fatalf("scan node carries no actuals:\n%s", plan.Text())
-	}
+	scan := scanNode(t, plan)
 	if scan.Actual.Morsels < 2 {
 		t.Errorf("Morsels = %d, want >= 2 (MorselRows=64 over 6000 records)", scan.Actual.Morsels)
 	}
@@ -215,18 +193,7 @@ func TestCloseDuringStealLeaksNoGoroutines(t *testing.T) {
 func TestMorselFastPathSingleContainer(t *testing.T) {
 	e, _ := shardedArchive(t, 300, 5, 1) // small survey, single shard
 	e.MorselRows = 1 << 20               // everything fits one morsel per container run
-	prep, err := query.PrepareString("SELECT objid FROM tag WHERE r < 30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.PlanAnalyze(prep, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := e.ExecutePlan(context.Background(), plan, ExecOptions{Analyze: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, rows := openAnalyzed(t, e, "SELECT objid FROM tag WHERE r < 30")
 	res, err := rows.Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +201,7 @@ func TestMorselFastPathSingleContainer(t *testing.T) {
 	if len(res) == 0 {
 		t.Fatal("no rows")
 	}
-	scan := plan.Describe()
-	for scan.Op != "scan" {
-		scan = scan.Children[0]
-	}
+	scan := scanNode(t, plan)
 	if scan.Actual.Morsels != 1 {
 		t.Fatalf("Morsels = %d, want 1 (MorselRows covers the whole shard)", scan.Actual.Morsels)
 	}

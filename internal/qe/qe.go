@@ -77,40 +77,20 @@ type Engine struct {
 	MorselRows int
 	// BatchSize is the number of results per batch.
 	BatchSize int
-	// Blocking disables the ASAP push: every node drains its children
-	// completely before emitting. It exists for experiment E13 and should
-	// stay false in production use.
-	Blocking bool
 	// NoIndex disables HTM coverage pruning, forcing full-table scans.
 	// It exists for the index-versus-scan crossover experiment (E14).
 	NoIndex bool
-	// NoZone disables zone-map container pruning, so scans visit every
-	// coverage candidate regardless of predicate bounds. It is an escape
-	// hatch and the unpruned side of the zone-map conformance tests.
-	NoZone bool
-	// NoKernel disables the vectorized filter kernels over compressed
-	// column blocks, forcing every scan onto the row loop. It is an escape
-	// hatch mirroring NoZone and the row side of the kernel conformance
-	// tests.
-	NoKernel bool
+
+	// noZone and noKernel turn off zone-map container pruning and the
+	// column-block filter kernels: the unpruned row-loop reference arm of
+	// the conformance tests, never set in production.
+	noZone, noKernel bool
 
 	// The engine-wide morsel scheduler (morsel.go), created on first
-	// dispatch and shared by every query on this engine.
+	// dispatch and shared by every query on this engine. The sync.Once
+	// also makes go vet's copylocks check reject any copy of an Engine.
 	poolOnce sync.Once
 	pl       *pool
-}
-
-// Clone returns a new engine over the same stores with the same
-// configuration but its own (lazily created) morsel pool. Engines embed
-// scheduler synchronization state and must not be copied by value; clone
-// one to vary a knob (NoKernel, Workers, ...) for an A/B measurement.
-func (e *Engine) Clone() *Engine {
-	return &Engine{
-		Photo: e.Photo, Tag: e.Tag, Spec: e.Spec,
-		CoverDepth: e.CoverDepth, Workers: e.Workers, MorselRows: e.MorselRows,
-		BatchSize: e.BatchSize, Blocking: e.Blocking, NoIndex: e.NoIndex,
-		NoZone: e.NoZone, NoKernel: e.NoKernel,
-	}
 }
 
 func (e *Engine) coverDepth() int {
@@ -392,10 +372,10 @@ func (e *Engine) ExecuteStringOpts(ctx context.Context, src string, opts ExecOpt
 	return e.ExecuteOpts(ctx, prep, opts)
 }
 
-// runUnion merges children. In ASAP mode batches flow upward the moment
-// either child produces them; duplicates (an object satisfying both sides)
-// are suppressed so the result is a set, as SQL UNION and the paper's bags
-// of pointers imply.
+// runUnion merges children: batches flow upward the moment either child
+// produces them; duplicates (an object satisfying both sides) are
+// suppressed so the result is a set, as SQL UNION and the paper's bags of
+// pointers imply.
 func (e *Engine) runUnion(ctx context.Context, left, right <-chan Batch, rows *Rows) <-chan Batch {
 	out := make(chan Batch, 4)
 	go func() {
@@ -431,23 +411,6 @@ func (e *Engine) runUnion(ctx context.Context, left, right <-chan Batch, rows *R
 					return
 				}
 			}
-		}
-		if e.Blocking {
-			// Blocking comparison mode: drain both children fully first.
-			var all []Batch
-			for b := range left {
-				all = append(all, b)
-			}
-			for b := range right {
-				all = append(all, b)
-			}
-			replay := make(chan Batch, len(all))
-			for _, b := range all {
-				replay <- b
-			}
-			close(replay)
-			forward(replay)
-			return
 		}
 		var wg sync.WaitGroup
 		wg.Add(2)

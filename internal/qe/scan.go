@@ -253,9 +253,9 @@ func newScanWorker(e *Engine, o *scanOp) (*scanWorker, error) {
 }
 
 // zoneAdmit returns the compiled zone-map filter for a select, or nil when
-// zone pruning cannot apply (no bounds, or disabled via NoZone).
+// zone pruning cannot apply (no bounds, or the unpruned test reference).
 func (e *Engine) zoneAdmit(cs *query.CompiledSelect) *query.ZoneFilter {
-	if e.NoZone {
+	if e.noZone {
 		return nil
 	}
 	return cs.Bounds.CompileZone()

@@ -12,17 +12,14 @@ import (
 	"sdss/internal/store"
 )
 
-// baselineEngine clones an engine into the unpruned configuration: no HTM
+// baselineEngine builds the unpruned engine over e's stores: no HTM
 // pruning, no zone pruning, no column kernels — every record goes through
 // the row loop. Its results are the ground truth zone-pruned scans must
 // reproduce exactly; query.TestRowReaderMatchesStructCodecs ties the row
 // loop's reads to the catalog struct codecs.
 func baselineEngine(e *Engine) *Engine {
-	b := e.Clone()
-	b.NoIndex = true
-	b.NoZone = true
-	b.NoKernel = true
-	return b
+	return &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec,
+		NoIndex: true, noZone: true, noKernel: true}
 }
 
 // sameResultsExact compares two result sets bit-exactly (NaN == NaN).
@@ -231,15 +228,14 @@ func TestFanoutZonePruning(t *testing.T) {
 	if fo[0].ZonePruned != fo[0].ContainersTotal {
 		t.Errorf("mjd < 0 pruned %d of %d", fo[0].ZonePruned, fo[0].ContainersTotal)
 	}
-	// NoZone restores the full scan.
-	ez := e.Clone()
-	ez.NoZone = true
+	// The unpruned reference restores the full scan.
+	ez := &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, noZone: true}
 	fo, err = ez.Fanout(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fo[0].ZonePruned != 0 || fo[0].ContainersScanned != fo[0].ContainersTotal {
-		t.Errorf("NoZone fanout still prunes: %+v", fo[0])
+		t.Errorf("noZone fanout still prunes: %+v", fo[0])
 	}
 }
 
