@@ -2,7 +2,10 @@ package archive
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"sdss/internal/qe"
@@ -70,6 +73,54 @@ func TestV1ExplainPhysicalTree(t *testing.T) {
 	// Columns carry qualified names.
 	if len(resp.Columns) != 2 || resp.Columns[0].Name != "p.objid" {
 		t.Errorf("columns = %+v", resp.Columns)
+	}
+}
+
+// TestV1ExplainCoverDepth: the join side carrying the region reports the
+// HTM depth it was covered to, in the JSON as cover_depth and in the text
+// plan as COVER; the side with no region reports none. With CoverDepth 0
+// the depth comes from the store's density, between its container depth
+// and qe.DefaultCoverDepth; an explicit CoverDepth is reported as given.
+func TestV1ExplainCoverDepth(t *testing.T) {
+	base := buildEngine(t)
+	q := "SELECT p.objid, s.z FROM photo p JOIN spec s ON p.objid = s.objid WHERE CIRCLE(185, 32, 30)"
+	for _, explicit := range []int{0, 12} {
+		e := &qe.Engine{Photo: base.Photo, Tag: base.Tag, Spec: base.Spec, CoverDepth: explicit}
+		srv := httptest.NewServer(NewWWW(e).Handler())
+		code, body := get(t, srv, "/v1/explain?q="+url.QueryEscape(q))
+		srv.Close()
+		if code != 200 {
+			t.Fatalf("explain = %d: %s", code, body)
+		}
+		var resp explainResp
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Physical == nil || len(resp.Physical.Children) != 2 {
+			t.Fatalf("physical tree = %+v", resp.Physical)
+		}
+		var depth int
+		for _, c := range resp.Physical.Children {
+			switch {
+			case c.Table == "photoobj":
+				depth = c.CoverDepth
+			case c.CoverDepth != 0:
+				t.Errorf("CoverDepth=%d: %s scan has no region but reports cover depth %d", explicit, c.Table, c.CoverDepth)
+			}
+		}
+		lo, hi := base.Photo.ContainerDepth(), qe.DefaultCoverDepth
+		if explicit > 0 {
+			lo, hi = explicit, explicit
+		}
+		if depth < lo || depth > hi {
+			t.Errorf("CoverDepth=%d: photoobj scan covered at depth %d, want within [%d, %d]", explicit, depth, lo, hi)
+		}
+		if want := fmt.Sprintf(" COVER %d ", depth); !strings.Contains(resp.Phystext, want) {
+			t.Errorf("CoverDepth=%d: physical_text lacks %q:\n%s", explicit, want, resp.Phystext)
+		}
+		if !strings.Contains(string(body), `"cover_depth":`) {
+			t.Errorf("CoverDepth=%d: explain JSON lacks a cover_depth key", explicit)
+		}
 	}
 }
 

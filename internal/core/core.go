@@ -39,7 +39,9 @@ import (
 type Options struct {
 	// ContainerDepth is the HTM depth of clustering units (default 5).
 	ContainerDepth int
-	// CoverDepth is the HTM depth for query coverage (default 10).
+	// CoverDepth is the HTM depth for query coverage. 0 means per table:
+	// each scan covers only as deep as its store's record density can use,
+	// at most qe.DefaultCoverDepth (10).
 	CoverDepth int
 	// Workers sizes the engine-wide morsel worker pool (default GOMAXPROCS).
 	Workers int

@@ -138,8 +138,12 @@ func (s *RangeSet) OverlapsRange(lo, hi ID) bool {
 }
 
 // OverlapsTrixel reports whether the set covers any part of the given
-// trixel (at any depth ≤ the set's depth).
+// trixel. A trixel deeper than the set overlaps it exactly when its
+// ancestor at the set's depth is covered.
 func (s *RangeSet) OverlapsTrixel(id ID) bool {
+	if id.Depth() > s.depth {
+		return s.Contains(id)
+	}
 	lo, hi := id.RangeAtDepth(s.depth)
 	if lo == Invalid {
 		return false

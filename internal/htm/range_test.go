@@ -30,6 +30,31 @@ func TestRangeSetBasics(t *testing.T) {
 	}
 }
 
+// TestOverlapsTrixelAtAnyDepth: a trixel shallower than the set overlaps it
+// when any descendant is covered, a deeper one when its ancestor is.
+func TestOverlapsTrixelAtAnyDepth(t *testing.T) {
+	n01, _ := Parse("N01")
+	s := NewRangeSet(3)
+	s.AddTrixel(n01.Child(2))
+	for _, tc := range []struct {
+		name string
+		want bool
+	}{
+		{"N0", true}, {"N01", true}, {"N012", true}, // ancestors and the trixel itself
+		{"N0120", true}, {"N01233", true}, // descendants at the set's depth and below
+		{"N011", false}, {"N0110", false}, {"N01130", false}, // a sibling and its descendants
+		{"S0", false},
+	} {
+		id, err := Parse(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.OverlapsTrixel(id); got != tc.want {
+			t.Errorf("OverlapsTrixel(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRangeSetMerging(t *testing.T) {
 	s := NewRangeSet(3)
 	// Adding all four children of a trixel must merge into one range equal

@@ -79,6 +79,10 @@ type OpNode struct {
 	Shards     int `json:"shards,omitempty"`
 	Containers int `json:"containers,omitempty"`
 	ZonePruned int `json:"zone_pruned,omitempty"`
+	// CoverDepth is the HTM depth a spatial scan's region was covered to:
+	// Engine.CoverDepth when set, otherwise chosen from the store's record
+	// density.
+	CoverDepth int `json:"cover_depth,omitempty"`
 	// Kernel names a scan's record-evaluation path: "vector" (key-range
 	// kernels are the whole predicate), "vector+pred" (kernels prefilter,
 	// the row predicate re-checks survivors), or "row" (the legacy loop).
@@ -206,6 +210,9 @@ func renderOpNode(b *strings.Builder, n *OpNode, depth int) {
 	}
 	if n.PartitionDepth > 0 {
 		fmt.Fprintf(b, " DEPTH %d", n.PartitionDepth)
+	}
+	if n.CoverDepth > 0 {
+		fmt.Fprintf(b, " COVER %d", n.CoverDepth)
 	}
 	if n.Filter != "" {
 		fmt.Fprintf(b, " WHERE %s", n.Filter)

@@ -187,13 +187,14 @@ func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, erro
 		return op, nil
 	}
 
-	cov, err := e.coverage(cs)
+	cov, err := e.coverage(cs, st)
 	if err != nil {
 		return nil, err
 	}
 	var rangeSet *htm.RangeSet
 	if cov != nil {
 		rangeSet = cov.RangeSet()
+		op.info.CoverDepth = cov.Depth
 	}
 
 	totalRecords := float64(st.NumRecords())

@@ -47,9 +47,10 @@ type Result struct {
 // Batch groups results to amortize channel traffic.
 type Batch []Result
 
-// DefaultCoverDepth is the HTM depth query regions are covered to. Depth 10
-// trixels are ~3 arcmin across: fine enough that candidate sets are tight,
-// coarse enough that coverage stays small.
+// DefaultCoverDepth caps the depth a query region is covered to when
+// Engine.CoverDepth is 0. Depth-10 trixels are ~5.3 arcmin
+// (htm.TrixelAngle(10)); a store must hold ~4^(10-d) records per depth-d
+// container before the per-table rule descends that far.
 const DefaultCoverDepth = 10
 
 // Engine executes prepared statements against the archive's stores: the
@@ -65,7 +66,9 @@ type Engine struct {
 	Tag   *store.Sharded // Tag records (may be nil if no tag partition)
 	Spec  *store.Sharded // SpecObj records (may be nil)
 
-	// CoverDepth is the HTM coverage depth for spatial pruning.
+	// CoverDepth is the HTM coverage depth for spatial pruning. 0 means
+	// per table: each leaf covers only as deep as its store's record
+	// density can use (see coverDepthFor), at most DefaultCoverDepth.
 	CoverDepth int
 	// Workers sizes the engine-wide morsel pool: at most this many scan
 	// morsels run at once across every concurrent query (default
@@ -93,11 +96,30 @@ type Engine struct {
 	pl       *pool
 }
 
-func (e *Engine) coverDepth() int {
+// coverDepthFor is the depth a leaf over st covers its region to: the
+// explicit CoverDepth when set, otherwise coverDepthFromDensity of the
+// store's own shape.
+func (e *Engine) coverDepthFor(st *store.Sharded) int {
 	if e.CoverDepth > 0 {
 		return e.CoverDepth
 	}
-	return DefaultCoverDepth
+	return coverDepthFromDensity(st.ContainerDepth(), st.NumRecords(), st.NumContainers())
+}
+
+// coverDepthFromDensity is the deepest level at which a trixel still holds
+// about one record on average: container depth cd plus ⌊log₄(records per
+// container)⌋, clamped to [cd, DefaultCoverDepth]. Below it, classifying
+// trixels against the region costs more than the record tests it saves,
+// and the exact predicate re-checks every candidate record anyway. An empty
+// store covers at cd.
+func coverDepthFromDensity(cd int, records int64, containers int) int {
+	d := cd
+	if containers > 0 {
+		for per := records / int64(containers); per >= 4 && d < DefaultCoverDepth; per /= 4 {
+			d++
+		}
+	}
+	return d
 }
 
 func (e *Engine) workers() int {
@@ -560,13 +582,14 @@ func (e *Engine) runLimit(ctx context.Context, n int, in <-chan Batch, rows *Row
 	return out
 }
 
-// coverage computes the candidate trixel ranges for a select, or nil for a
-// full-table scan.
-func (e *Engine) coverage(cs *query.CompiledSelect) (*region.Coverage, error) {
+// coverage computes the candidate trixel ranges for a select over st, or
+// nil for a full-table scan. planLeaf and fanoutSelect both go through it,
+// so EXPLAIN's fanout counts candidates from the cover the scan uses.
+func (e *Engine) coverage(cs *query.CompiledSelect, st *store.Sharded) (*region.Coverage, error) {
 	if cs.Region == nil || e.NoIndex {
 		return nil, nil
 	}
-	return region.Cover(cs.Region, e.coverDepth())
+	return region.Cover(cs.Region, e.coverDepthFor(st))
 }
 
 // NumShards reports the scatter width: the number of shard slices a leaf
@@ -637,7 +660,7 @@ func (e *Engine) fanoutSelect(cs *query.CompiledSelect) ([]ShardFanout, error) {
 	if err != nil {
 		return nil, err
 	}
-	cov, err := e.coverage(cs)
+	cov, err := e.coverage(cs, st)
 	if err != nil {
 		return nil, err
 	}

@@ -350,7 +350,9 @@ func (s *Store) Scan(coverage *htm.RangeSet, fineFilter bool, fn func(rec []byte
 		if c == nil {
 			continue
 		}
-		if coverage == nil || !fineFilter {
+		// A container deeper than the coverage lies wholly inside the
+		// covered trixel it overlaps: every record passes the fine filter.
+		if coverage == nil || !fineFilter || id.Depth() > coverage.Depth() {
 			for i := 0; i < c.count; i++ {
 				if err := fn(c.data[i*rs : (i+1)*rs]); err != nil {
 					return err

@@ -353,6 +353,40 @@ func TestScanCoverageTooDeep(t *testing.T) {
 	}
 }
 
+// TestScanCoverageShallowerThanContainers: a coverage coarser than the
+// containers admits every record under its trixels, with or without the
+// fine filter.
+func TestScanCoverageShallowerThanContainers(t *testing.T) {
+	s, err := Open(photoOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := photoRecords(t, 3000, 7)
+	if err := s.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	s.Sort()
+	const depth = 2
+	anc := recs[0].HTMID.AtDepth(depth)
+	cov := htm.NewRangeSet(depth)
+	cov.AddTrixel(anc)
+	want := 0
+	for _, r := range recs {
+		if r.HTMID.AtDepth(depth) == anc {
+			want++
+		}
+	}
+	for _, fine := range []bool{false, true} {
+		got := 0
+		if err := s.Scan(cov, fine, func([]byte) error { got++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("fineFilter=%v: scanned %d records under %v, want %d", fine, got, anc, want)
+		}
+	}
+}
+
 func BenchmarkBulkLoad(b *testing.B) {
 	recs, _ := photoRecords(b, 20000, 1)
 	var bytes int64
