@@ -23,10 +23,9 @@ test:
 race:
 	go test -race ./...
 
-# skylint is the project's own analyzer suite (cmd/skylint): batch
-# ownership, raw record offsets, NaN-safe comparisons, interrupted marks,
-# cancellable fan-out, and the morsel-pool concurrency invariants
-# (slotheld, lockheld). Copies of qe.Engine are left to stock vet's
+# skylint is the project's own analyzer suite (cmd/skylint): raw record
+# offsets, NaN-safe comparisons, interrupted marks, cancellable fan-out,
+# and the morsel-pool concurrency invariants (slotheld, lockheld). Copies of qe.Engine are left to stock vet's
 # copylocks check (the `vet` target). Both drivers run: the standalone
 # loader, which reads/writes function-summary artifacts under
 # $(BIN)/lintsum so partial re-runs stay interprocedural, and
@@ -53,7 +52,7 @@ skylint-test:
 # dir — which also exercises cross-package summary import through the real
 # binary for the fixtures that split across a and b.
 skylint-violations: $(BIN)/skylint
-	@for spec in batchown:a ctxcancel:a dropmark:qe nansafe:qe rawoffset:a \
+	@for spec in ctxcancel:a dropmark:qe nansafe:qe rawoffset:a \
 			slotheld:a lockheld:a; do \
 		name=$${spec%%:*}; pkg=$${spec##*:}; \
 		t=$(CURDIR)/internal/lint/$$name/testdata; \
@@ -91,7 +90,7 @@ fmt-check:
 lint: skylint staticcheck govulncheck
 
 # The offline gate: formatting, vet (whose copylocks check rejects any
-# by-value copy of qe.Engine), build, the seven skylint analyzers with their
+# by-value copy of qe.Engine), build, the six skylint analyzers with their
 # fixture and deliberate-violation checks, and `go test ./...` — which also
 # runs the end-to-end benchmark's smoke test in bench/. CI runs these plus
 # the steps that need no target here: the race detector, the query engine

@@ -1,23 +1,20 @@
 // Command skylint is the archive's project-specific static-analysis suite:
-// seven analyzers that mechanically enforce the engine's convention-only
-// invariants, from batch ownership to the morsel pool's deadlock
+// six analyzers that mechanically enforce the engine's convention-only
+// invariants, from raw record offsets to the morsel pool's deadlock
 // discipline. Copies of qe.Engine need no analyzer of their own: the
 // engine holds a sync.Once, so stock `go vet` (copylocks) rejects them.
 //
 // # Analyzers
 //
-//	batchown    batch buffers are forwarded, returned, or recycled exactly
-//	            once and never used afterwards; call verdicts come from the
-//	            function-summary layer (a callee that keeps the batch
-//	            transfers ownership, an inspect-only one does not).
 //	rawoffset   record field access goes through the layout tables, never
 //	            hand-computed byte offsets.
 //	nansafe     attribute/sort-key float comparisons use the NaN-aware
 //	            comparators; test entry points are exempt, shared test
 //	            helpers are not.
 //	dropmark    mid-production drop points set rows.interrupted before
-//	            abandoning the stream, recognizing recycling helpers
-//	            through their summaries.
+//	            abandoning the stream: the Done case of a select that
+//	            sends a batch, and a context-error early return in code
+//	            that handles batches.
 //	ctxcancel   goroutine fan-out sends select on a cancellation signal;
 //	            named-function spawns and calls inside spawned literals are
 //	            judged by their summaries, and sends provably buffered to
@@ -32,8 +29,7 @@
 // # Function summaries
 //
 // The interprocedural layer computes per-function facts (may-block,
-// unguarded-send, batch-parameter ownership, recycles) bottom-up over the
-// call graph and carries them across package boundaries: the standalone
+// unguarded-send) bottom-up over the call graph and carries them across package boundaries: the standalone
 // driver processes packages in import order (optionally persisting
 // artifacts with -sumdir so later runs and CI caches can reuse them), and
 // the vettool driver serializes summaries through go vet's per-package

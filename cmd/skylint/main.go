@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"sdss/internal/lint/analysis"
-	"sdss/internal/lint/batchown"
 	"sdss/internal/lint/ctxcancel"
 	"sdss/internal/lint/dropmark"
 	"sdss/internal/lint/lockheld"
@@ -19,7 +18,6 @@ import (
 
 // analyzers is the skylint suite, in documentation order.
 var analyzers = []*analysis.Analyzer{
-	batchown.Analyzer,
 	rawoffset.Analyzer,
 	nansafe.Analyzer,
 	dropmark.Analyzer,

@@ -76,7 +76,6 @@ func main() {
 			n := 0
 			for b := range rows.C {
 				n += len(b)
-				qe.RecycleBatch(b)
 			}
 			if err := rows.Err(); err != nil {
 				log.Fatal(err)
@@ -163,7 +162,6 @@ func main() {
 			emit(r)
 			n++
 		}
-		qe.RecycleBatch(batch)
 	}
 	finish()
 	if err := rows.Err(); err != nil {

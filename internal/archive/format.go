@@ -129,17 +129,6 @@ type rowSource struct {
 	// truncated and errFn are consulted only after batches closes.
 	truncated func() bool
 	errFn     func() error
-	// recycle, when set, returns a fully encoded batch's buffer to the
-	// engine's pool. Live streams own their batches; materialized job rows
-	// are retained by the job manager and must not be recycled.
-	recycle func(qe.Batch)
-}
-
-// done disposes of one fully consumed batch.
-func (s rowSource) done(b qe.Batch) {
-	if s.recycle != nil {
-		s.recycle(b)
-	}
 }
 
 // liveSource adapts a streaming qe.Rows.
@@ -149,7 +138,6 @@ func liveSource(rows *qe.Rows) rowSource {
 		batches:   rows.C,
 		truncated: rows.Truncated,
 		errFn:     rows.Err,
-		recycle:   qe.RecycleBatch,
 	}
 }
 
@@ -183,7 +171,6 @@ func writeNDJSON(w io.Writer, src rowSource) {
 			buf = append(buf, '\n')
 			n++
 		}
-		src.done(b)
 		w.Write(buf)
 		if flusher != nil {
 			flusher.Flush()
@@ -228,7 +215,6 @@ func writeCSV(w io.Writer, src rowSource) {
 			cw.Write(record)
 			n++
 		}
-		src.done(b)
 		cw.Flush()
 		if flusher != nil {
 			flusher.Flush()
@@ -261,7 +247,6 @@ func buildJSONDocument(src rowSource) (*jsonDocument, error) {
 		for _, r := range b {
 			doc.Rows = append(doc.Rows, json.RawMessage(appendRowJSON(nil, src.cols, r)))
 		}
-		src.done(b)
 	}
 	if err := src.errFn(); err != nil {
 		return nil, err

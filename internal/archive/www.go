@@ -334,7 +334,6 @@ func (w *WWW) handleExplain(rw http.ResponseWriter, req *http.Request) {
 		rowCount = 0
 		for b := range rows.C {
 			rowCount += int64(len(b))
-			qe.RecycleBatch(b)
 		}
 		if err := rows.Err(); err != nil {
 			jsonError(rw, statusForQueryError(err), "%s", err)

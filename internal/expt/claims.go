@@ -540,7 +540,6 @@ func ASAPFirstResult(cfg Config, w io.Writer) error {
 				first = time.Since(start)
 			}
 			n += len(b)
-			qe.RecycleBatch(b)
 		}
 		// The blocking arm drains the whole stream into memory before it
 		// hands on its first batch, as a node that withholds results until

@@ -15,11 +15,7 @@ package analysis
 // through a function value or interface method contributes no blocking or
 // send facts (flow tracking for function values is out of scope), and a
 // function literal's body is not folded into its enclosing function (the
-// closure may run on a different goroutine entirely). Analyzers that need
-// the pessimistic direction — batch ownership, where an untracked callee
-// must be assumed to take the batch — get it through the UnknownBatch mask,
-// which separates "definitely consumes" from "escapes into code we cannot
-// summarize".
+// closure may run on a different goroutine entirely).
 
 import (
 	"encoding/json"
@@ -48,26 +44,6 @@ type FuncFacts struct {
 	// engine's cancellable fan-out invariant.
 	UnguardedSend bool   `json:"unguarded_send,omitempty"`
 	SendWhy       string `json:"send_why,omitempty"`
-
-	// Recycles: the function (transitively) calls RecycleBatch.
-	Recycles bool `json:"recycles,omitempty"`
-
-	// BatchParams marks parameters of Batch type (bit i = param i).
-	// ConsumesBatch marks batch params whose ownership the function takes:
-	// recycled, sent, stored, appended, returned, or passed to a callee
-	// that consumes. UnknownBatch marks batch params handed to code the
-	// summary layer cannot see (function values, unsummarized packages):
-	// "maybe consumed" — drop-checks must assume yes, use-after-checks no.
-	BatchParams   uint64 `json:"batch_params,omitempty"`
-	ConsumesBatch uint64 `json:"consumes_batch,omitempty"`
-	UnknownBatch  uint64 `json:"unknown_batch,omitempty"`
-}
-
-func (f *FuncFacts) equal(g *FuncFacts) bool {
-	return f.MayBlock == g.MayBlock && f.UnguardedSend == g.UnguardedSend &&
-		f.Recycles == g.Recycles && f.BatchParams == g.BatchParams &&
-		f.ConsumesBatch == g.ConsumesBatch && f.UnknownBatch == g.UnknownBatch &&
-		f.BlockWhy == g.BlockWhy && f.SendWhy == g.SendWhy
 }
 
 // builtinFacts covers the stdlib calls whose blocking behavior the layer
@@ -237,10 +213,9 @@ func ComputeSummaries(fset *token.FileSet, files []*ast.File, info *types.Info, 
 		changed := false
 		for _, d := range decls {
 			w := &factWalker{fset: fset, info: info, sums: own, body: d.decl.Body}
-			w.bindParams(d.decl)
 			w.walk(d.decl.Body, false)
 			prev := own.fns[d.key]
-			if prev == nil || !prev.equal(&w.facts) {
+			if prev == nil || *prev != w.facts {
 				f := w.facts
 				own.fns[d.key] = &f
 				changed = true
@@ -253,45 +228,13 @@ func ComputeSummaries(fset *token.FileSet, files []*ast.File, info *types.Info, 
 	return own
 }
 
-// isBatchType reports whether t is a defined slice type named Batch —
-// qe.Batch on the real tree, structural doubles in fixtures.
-func isBatchType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	if named.Obj().Name() != "Batch" {
-		return false
-	}
-	_, isSlice := named.Underlying().(*types.Slice)
-	return isSlice
-}
-
 // factWalker computes one function's facts in one pass over its body.
 type factWalker struct {
-	fset   *token.FileSet
-	info   *types.Info
-	sums   *Summaries
-	body   *ast.BlockStmt
-	params map[types.Object]int
-	facts  FuncFacts
-}
-
-func (w *factWalker) bindParams(fd *ast.FuncDecl) {
-	w.params = map[types.Object]int{}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := w.info.Defs[name]; obj != nil && isBatchType(obj.Type()) {
-				w.params[obj] = idx
-				w.facts.BatchParams |= 1 << uint(idx)
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
+	fset  *token.FileSet
+	info  *types.Info
+	sums  *Summaries
+	body  *ast.BlockStmt
+	facts FuncFacts
 }
 
 func (w *factWalker) posStr(pos token.Pos) string {
@@ -317,40 +260,6 @@ func (w *factWalker) unguardedVia(pos token.Pos, key, why string) {
 	if !w.facts.UnguardedSend {
 		w.facts.UnguardedSend = true
 		w.facts.SendWhy = "call to " + key + " at " + w.posStr(pos) + " (" + why + ")"
-	}
-}
-
-const (
-	consumeDefinite = iota
-	consumeUnknown
-)
-
-// consumeIdent records a batch parameter leaving the function's ownership.
-// Re-slices are unwrapped: b[:0] is the same backing buffer as b.
-func (w *factWalker) consumeIdent(e ast.Expr, kind int) {
-	for {
-		if sl, ok := e.(*ast.SliceExpr); ok {
-			e = sl.X
-			continue
-		}
-		break
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj := w.info.Uses[id]
-	if obj == nil {
-		return
-	}
-	idx, isParam := w.params[obj]
-	if !isParam {
-		return
-	}
-	if kind == consumeDefinite {
-		w.facts.ConsumesBatch |= 1 << uint(idx)
-	} else {
-		w.facts.UnknownBatch |= 1 << uint(idx)
 	}
 }
 
@@ -404,7 +313,6 @@ func (w *factWalker) walk(n ast.Node, fwd bool) {
 		if !fwd {
 			w.unguarded(n.Arrow)
 		}
-		w.consumeIdent(n.Value, consumeDefinite)
 		w.walk(n.Value, fwd)
 		return
 	case *ast.UnaryExpr:
@@ -427,33 +335,6 @@ func (w *factWalker) walk(n ast.Node, fwd bool) {
 	case *ast.CallExpr:
 		w.walkCall(n, fwd)
 		return
-	case *ast.AssignStmt:
-		// A batch parameter stored anywhere escapes this function's
-		// ownership (the store's holder decides its fate).
-		for _, rhs := range n.Rhs {
-			w.consumeIdent(rhs, consumeDefinite)
-			w.walk(rhs, fwd)
-		}
-		for _, lhs := range n.Lhs {
-			w.walk(lhs, fwd)
-		}
-		return
-	case *ast.ReturnStmt:
-		for _, res := range n.Results {
-			w.consumeIdent(res, consumeDefinite)
-			w.walk(res, fwd)
-		}
-		return
-	case *ast.CompositeLit:
-		for _, el := range n.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				w.consumeIdent(kv.Value, consumeDefinite)
-			} else {
-				w.consumeIdent(el, consumeDefinite)
-			}
-			w.walk(el, fwd)
-		}
-		return
 	}
 	ast.Inspect(n, func(c ast.Node) bool {
 		if c == n {
@@ -471,7 +352,6 @@ func (w *factWalker) walkComm(comm ast.Stmt, fwd bool) {
 	switch s := comm.(type) {
 	case nil:
 	case *ast.SendStmt:
-		w.consumeIdent(s.Value, consumeDefinite)
 		w.walk(s.Value, fwd)
 		w.walk(s.Chan, fwd)
 	case *ast.ExprStmt:
@@ -491,81 +371,23 @@ func (w *factWalker) walkComm(comm ast.Stmt, fwd bool) {
 	}
 }
 
-// walkCall folds a call's events into the facts: builtin consumption
-// (append, RecycleBatch), callee summaries, and the unknown-escape rule for
-// batch arguments.
+// walkCall folds a call's events into the facts: the callee's summary, if
+// one is known. Calls through function values, interface methods and
+// unsummarized packages contribute nothing (the optimistic direction).
 func (w *factWalker) walkCall(call *ast.CallExpr, fwd bool) {
-	defer func() {
-		for _, arg := range call.Args {
-			w.walk(arg, fwd)
+	if fn, facts := w.sums.Callee(w.info, call); facts != nil {
+		key := FuncKey(fn)
+		if facts.MayBlock {
+			w.blocking(call.Lparen, "call to "+key+" ("+facts.BlockWhy+")")
 		}
-		w.walk(call.Fun, fwd)
-	}()
-
-	if name := builtinName(w.info, call); name != "" {
-		switch name {
-		case "len", "cap", "close", "new", "delete", "print", "println", "panic", "min", "max":
-			return // inspects or terminates; never consumes a batch
-		case "append", "copy":
-			for _, arg := range call.Args {
-				w.consumeIdent(arg, consumeDefinite)
-			}
-			return
-		default:
-			return
+		if facts.UnguardedSend && !fwd {
+			w.unguardedVia(call.Lparen, key, facts.SendWhy)
 		}
 	}
-	if isRecycleCall(call) {
-		w.facts.Recycles = true
-		for _, arg := range call.Args {
-			w.consumeIdent(arg, consumeDefinite)
-		}
-		return
+	for _, arg := range call.Args {
+		w.walk(arg, fwd)
 	}
-	fn, facts := w.sums.Callee(w.info, call)
-	if fn == nil {
-		// Function value or conversion: batch args escape into untracked code.
-		for _, arg := range call.Args {
-			w.consumeIdent(arg, consumeUnknown)
-		}
-		return
-	}
-	if facts == nil {
-		// Known callee, no summary (interface method / unsummarized package):
-		// optimistic on blocking, pessimistic on batch ownership.
-		for _, arg := range call.Args {
-			w.consumeIdent(arg, consumeUnknown)
-		}
-		return
-	}
-	key := FuncKey(fn)
-	if facts.MayBlock {
-		w.blocking(call.Lparen, "call to "+key+" ("+facts.BlockWhy+")")
-	}
-	if facts.UnguardedSend && !fwd {
-		w.unguardedVia(call.Lparen, key, facts.SendWhy)
-	}
-	if facts.Recycles {
-		w.facts.Recycles = true
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	for i, arg := range call.Args {
-		pi := i
-		if sig != nil && sig.Variadic() && pi >= sig.Params().Len() {
-			pi = sig.Params().Len() - 1
-		}
-		bit := uint64(1) << uint(pi)
-		switch {
-		case facts.BatchParams&bit == 0:
-			// The callee does not see this position as a batch (interface
-			// param, re-typed): treat as an unknown escape if it is one.
-			w.consumeIdent(arg, consumeUnknown)
-		case facts.ConsumesBatch&bit != 0:
-			w.consumeIdent(arg, consumeDefinite)
-		case facts.UnknownBatch&bit != 0:
-			w.consumeIdent(arg, consumeUnknown)
-		}
-	}
+	w.walk(call.Fun, fwd)
 }
 
 // builtinName returns the name of a Go builtin call, or "".
@@ -578,18 +400,6 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 		return id.Name
 	}
 	return ""
-}
-
-// isRecycleCall matches RecycleBatch by terminal name, as batchown does:
-// the real qe.RecycleBatch and fixture doubles alike.
-func isRecycleCall(call *ast.CallExpr) bool {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name == "RecycleBatch"
-	case *ast.SelectorExpr:
-		return fn.Sel.Name == "RecycleBatch"
-	}
-	return false
 }
 
 // provenBuffered reports whether a send can be statically shown never to

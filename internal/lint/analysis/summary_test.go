@@ -124,54 +124,6 @@ func TestSummaryBlocking(t *testing.T) {
 	}
 }
 
-const batchSrc = `package p
-
-type Batch []int
-
-func RecycleBatch(b Batch) {}
-
-func recycles(b Batch) { RecycleBatch(b) }
-
-func recyclesViaHelper(b Batch) { recycles(b) }
-
-func inspects(b Batch) int { return len(b) }
-
-func stores(b Batch, sink *Batch) { *sink = b }
-
-func sends(b Batch, out chan Batch) { out <- b }
-
-func escapes(b Batch, f func(Batch)) { f(b) }
-
-func returns(b Batch) Batch { return b }
-`
-
-func TestSummaryBatchFacts(t *testing.T) {
-	s := checkSummaries(t, batchSrc, nil)
-	cases := []struct {
-		key                       string
-		recycles                  bool
-		params, consumes, unknown uint64
-	}{
-		{"p.recycles", true, 1, 1, 0},
-		{"p.recyclesViaHelper", true, 1, 1, 0},
-		{"p.inspects", false, 1, 0, 0},
-		{"p.stores", false, 1, 1, 0},
-		{"p.sends", false, 1, 1, 0},
-		{"p.escapes", false, 1, 0, 1},
-		{"p.returns", false, 1, 1, 0},
-	}
-	for _, c := range cases {
-		f := lookup(t, s, c.key)
-		if f.Recycles != c.recycles {
-			t.Errorf("%s: Recycles = %v, want %v", c.key, f.Recycles, c.recycles)
-		}
-		if f.BatchParams != c.params || f.ConsumesBatch != c.consumes || f.UnknownBatch != c.unknown {
-			t.Errorf("%s: masks = %b/%b/%b, want %b/%b/%b", c.key,
-				f.BatchParams, f.ConsumesBatch, f.UnknownBatch, c.params, c.consumes, c.unknown)
-		}
-	}
-}
-
 func TestSummaryRoundTrip(t *testing.T) {
 	s := checkSummaries(t, blockSrc, nil)
 	data, err := s.Encode()

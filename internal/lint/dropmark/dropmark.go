@@ -9,15 +9,13 @@
 // The analyzer runs in packages that define the idiom — a Rows struct with
 // an `interrupted` field — and checks the two known drop-point shapes:
 //
-//   - a select case receiving from <ctx>.Done() whose body recycles a batch
-//     (it just dropped work it owned) must call interrupted.Store(true);
+//   - in a select that sends a Batch, the case receiving from
+//     <ctx>.Done() drops the batch it was sending and must call
+//     interrupted.Store(true);
 //   - an `if <ctx>.Err() != nil { ... return }` early-exit inside a
-//     function that produces batches (sends on a channel or recycles) must
-//     call interrupted.Store(true) before returning.
-//
-// Recycling is recognized transitively: a drop point that releases its
-// buffers through a helper is judged by the helper's Recycles summary fact,
-// not just by a literal RecycleBatch call in the clause.
+//     function that handles batches (sends on a channel, or touches a
+//     Batch or a channel of batches) must call interrupted.Store(true)
+//     before returning.
 //
 // Drops that are genuinely post-completion (limit reached, everything
 // delivered) carry //lint:skylint-ignore dropmark <reason>.
@@ -144,57 +142,51 @@ func marksInterrupted(n ast.Node) bool {
 	return found
 }
 
+// isBatch reports whether t is a defined slice type named Batch (qe.Batch
+// on the real tree, structural doubles in fixtures) or a channel of one.
+func isBatch(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if ch, ok := t.Underlying().(*types.Chan); ok {
+		t = ch.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Batch" {
+		return false
+	}
+	_, isSlice := named.Underlying().(*types.Slice)
+	return isSlice
+}
+
 // producesBatches reports whether the function body sends on a channel or
-// recycles batches — i.e. participates in the streaming tree.
-func producesBatches(pass *analysis.Pass, body *ast.BlockStmt) bool {
+// touches a batch — i.e. participates in the streaming tree.
+func producesBatches(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
-		switch n.(type) {
+		switch n := n.(type) {
 		case *ast.SendStmt:
 			found = true
-		case *ast.CallExpr:
-			found = found || recyclesBatch(pass, n)
+		case ast.Expr:
+			found = isBatch(info.TypeOf(n))
 		}
-		return true
+		return !found
 	})
 	return found
 }
 
-// recyclesBatch reports whether the subtree recycles a batch — by a direct
-// RecycleBatch call, or through a callee whose summary carries the
-// transitive Recycles fact.
-func recyclesBatch(pass *analysis.Pass, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := c.(*ast.CallExpr)
-		if !ok {
+// sendsBatch reports whether one of the select's cases sends on a channel
+// of batches.
+func sendsBatch(info *types.Info, sel *ast.SelectStmt) bool {
+	for _, cl := range sel.Body.List {
+		if send, ok := cl.(*ast.CommClause).Comm.(*ast.SendStmt); ok && isBatch(info.TypeOf(send.Chan)) {
 			return true
 		}
-		switch fn := call.Fun.(type) {
-		case *ast.Ident:
-			if fn.Name == "RecycleBatch" {
-				found = true
-				return false
-			}
-		case *ast.SelectorExpr:
-			if fn.Sel.Name == "RecycleBatch" {
-				found = true
-				return false
-			}
-		}
-		if _, facts := pass.Summaries.Callee(pass.TypesInfo, call); facts != nil && facts.Recycles {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	}
+	return false
 }
 
 func run(pass *analysis.Pass) error {
@@ -229,21 +221,26 @@ func funcBody(n ast.Node) *ast.BlockStmt {
 // points would be double-reported here, so literals are skipped in this
 // walk.
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	produces := producesBatches(pass, body)
+	produces := producesBatches(pass.TypesInfo, body)
 	for _, stmt := range body.List {
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			if _, ok := n.(*ast.FuncLit); ok {
 				return false
 			}
 			switch n := n.(type) {
-			case *ast.CommClause:
-				if n.Comm == nil || !isDoneRecv(pass.TypesInfo, n.Comm) {
+			case *ast.SelectStmt:
+				if !sendsBatch(pass.TypesInfo, n) {
 					return true
 				}
-				clause := &ast.BlockStmt{List: n.Body}
-				if recyclesBatch(pass, clause) && !marksInterrupted(clause) {
-					pass.Reportf(n.Pos(),
-						"cancellation drop point recycles a batch without rows.interrupted.Store(true); the timeout will not surface")
+				for _, cl := range n.Body.List {
+					cc := cl.(*ast.CommClause)
+					if cc.Comm == nil || !isDoneRecv(pass.TypesInfo, cc.Comm) {
+						continue
+					}
+					if !marksInterrupted(&ast.BlockStmt{List: cc.Body}) {
+						pass.Reportf(cc.Pos(),
+							"cancellation drop point abandons a batch send without rows.interrupted.Store(true); the timeout will not surface")
+					}
 				}
 			case *ast.IfStmt:
 				if !produces || !isErrNilCheck(pass.TypesInfo, n.Cond) {

@@ -6,12 +6,9 @@ import "context"
 
 type Batch []uint64
 
-func RecycleBatch(b Batch) { _ = b }
-
 func drop(ctx context.Context, out chan<- Batch, b Batch) {
 	select {
 	case out <- b:
 	case <-ctx.Done():
-		RecycleBatch(b)
 	}
 }

@@ -11,8 +11,6 @@ type Result struct{ ObjID uint64 }
 
 type Batch []Result
 
-func RecycleBatch(b Batch) { _ = b }
-
 // Rows carries the interrupted flag; its presence scopes the analyzer to
 // this package.
 type Rows struct {
@@ -20,20 +18,28 @@ type Rows struct {
 	interrupted atomic.Bool
 }
 
-// badDoneDrop recycles in a Done case without marking: the timeout
-// vanishes.
+// badDoneDrop abandons a batch send in a Done case without marking: the
+// timeout vanishes.
 func badDoneDrop(ctx context.Context, out chan<- Batch, b Batch, rows *Rows) {
 	select {
 	case out <- b:
 	case <-ctx.Done(): // want `without rows.interrupted.Store`
-		RecycleBatch(b)
 	}
 }
 
-// badErrReturn abandons a producing stream without marking.
+// badDoneDropWindow sends an unnamed window over a sorted slice: the
+// channel's element type, not the value's, makes it a batch send.
+func badDoneDropWindow(ctx context.Context, out chan<- Batch, all []Result, rows *Rows) {
+	select {
+	case out <- all[:1:1]:
+	case <-ctx.Done(): // want `without rows.interrupted.Store`
+		return
+	}
+}
+
+// badErrReturn abandons a batch stream without marking.
 func badErrReturn(ctx context.Context, in <-chan Batch, rows *Rows) {
-	for b := range in {
-		RecycleBatch(b)
+	for range in {
 		if ctx.Err() != nil { // want `context-cancelled early return`
 			return
 		}
@@ -46,14 +52,12 @@ func goodDoneDrop(ctx context.Context, out chan<- Batch, b Batch, rows *Rows) {
 	case out <- b:
 	case <-ctx.Done():
 		rows.interrupted.Store(true)
-		RecycleBatch(b)
 	}
 }
 
 // goodErrReturn marks before bailing.
 func goodErrReturn(ctx context.Context, in <-chan Batch, rows *Rows) {
-	for b := range in {
-		RecycleBatch(b)
+	for range in {
 		if ctx.Err() != nil {
 			rows.interrupted.Store(true)
 			return
@@ -70,39 +74,11 @@ func nonProducer(ctx context.Context) int {
 	return 1
 }
 
-// doneWithoutBatch stops cleanly without dropping owned work.
+// doneWithoutBatch stops cleanly without dropping a batch send.
 func doneWithoutBatch(ctx context.Context, tick <-chan int) {
 	select {
 	case <-tick:
 	case <-ctx.Done():
-	}
-}
-
-// releaseOwned recycles through a helper: its summary carries the
-// transitive Recycles fact to every drop point that calls it.
-func releaseOwned(bs []Batch) {
-	for _, b := range bs {
-		RecycleBatch(b)
-	}
-}
-
-// badDoneDropViaHelper drops owned work through releaseOwned without
-// marking: only the Recycles summary fact exposes it.
-func badDoneDropViaHelper(ctx context.Context, out chan<- Batch, bs []Batch, rows *Rows) {
-	select {
-	case out <- bs[0]:
-	case <-ctx.Done(): // want `without rows.interrupted.Store`
-		releaseOwned(bs)
-	}
-}
-
-// goodDoneDropViaHelper marks before releasing through the helper.
-func goodDoneDropViaHelper(ctx context.Context, out chan<- Batch, bs []Batch, rows *Rows) {
-	select {
-	case out <- bs[0]:
-	case <-ctx.Done():
-		rows.interrupted.Store(true)
-		releaseOwned(bs)
 	}
 }
 
@@ -112,6 +88,5 @@ func suppressedDrop(ctx context.Context, out chan<- Batch, b Batch, rows *Rows) 
 	case out <- b:
 	//lint:skylint-ignore dropmark limit already reached; the stream is complete as delivered
 	case <-ctx.Done():
-		RecycleBatch(b)
 	}
 }

@@ -3,8 +3,7 @@
 // Fixture packages live under <analyzer>/testdata/src/<pkg>/ and annotate
 // the lines where findings are expected:
 //
-//	RecycleBatch(b)
-//	use(b) // want `use after RecycleBatch`
+//	case <-ctx.Done(): // want `without rows.interrupted.Store`
 //
 // Each `// want` comment carries one or more backquoted or double-quoted
 // regular expressions; every expectation must be matched by a diagnostic on

@@ -227,8 +227,8 @@ func (e *Engine) neighborEstRows(cj *query.CompiledJoin, left, right *scanOp) fl
 	return est * cj.IDPredSel
 }
 
-// pairEmitter assembles joined output rows into pooled batches: the shared
-// tail of both join operators. Not safe for concurrent use; each join runs
+// pairEmitter assembles joined output rows into batches: the shared tail of
+// both join operators. Not safe for concurrent use; each join runs
 // one emitting goroutine.
 type pairEmitter struct {
 	e     *Engine
@@ -244,10 +244,7 @@ type pairEmitter struct {
 
 func newPairEmitter(e *Engine, cj *query.CompiledJoin, rows *Rows, out chan Batch) *pairEmitter {
 	p := &pairEmitter{e: e, cj: cj, rows: rows, out: out}
-	p.batch = getBatch(e.batchSize())
-	if w := len(cj.Out); w > 0 {
-		p.vals = make([]float64, 0, e.batchSize()*w)
-	}
+	p.fresh()
 	p.getter = func(id query.AttrID) float64 {
 		side, attr := query.DecodeSideAttr(id)
 		if side == 1 {
@@ -256,6 +253,15 @@ func newPairEmitter(e *Engine, cj *query.CompiledJoin, rows *Rows, out chan Batc
 		return p.lv[p.cj.LeftAttrIdx[attr]]
 	}
 	return p
+}
+
+// fresh starts a new output batch and the value array its rows are carved
+// from; the previous ones went downstream with the flushed batch.
+func (p *pairEmitter) fresh() {
+	p.batch = make(Batch, 0, p.e.batchSize())
+	if w := len(p.cj.Out); w > 0 {
+		p.vals = make([]float64, 0, p.e.batchSize()*w)
+	}
 }
 
 // emit appends one (left, right) pair if it passes the residual predicates
@@ -297,28 +303,18 @@ func (p *pairEmitter) flush(ctx context.Context) bool {
 	case p.out <- p.batch:
 	case <-ctx.Done():
 		p.rows.interrupted.Store(true)
-		RecycleBatch(p.batch)
-		p.batch = nil
 		return false
 	}
-	p.batch = getBatch(p.e.batchSize())
-	if w := len(p.cj.Out); w > 0 {
-		p.vals = make([]float64, 0, p.e.batchSize()*w)
-	}
+	p.fresh()
 	return true
 }
 
-// close recycles whatever buffer the emitter still owns.
-func (p *pairEmitter) close() { RecycleBatch(p.batch) }
-
-// drainCollect drains a stream into a slice, copying Result structs out and
-// recycling the batch buffers (Values arrays stay valid — they are never
-// pooled). It reports false when the context fired mid-drain.
+// drainCollect drains a stream into one slice. It reports false when the
+// context fired mid-drain.
 func drainCollect(ctx context.Context, in <-chan Batch, rows *Rows) ([]Result, bool) {
 	var all []Result
 	for b := range in {
 		all = append(all, b...)
-		RecycleBatch(b)
 	}
 	if ctx.Err() != nil {
 		rows.interrupted.Store(true)
@@ -461,7 +457,6 @@ func (o *hashJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		// Probe phase: stream the probe side through the table.
 		probe := probeOp.open(ctx, rows)
 		em := newPairEmitter(o.e, cj, rows, out)
-		defer em.close()
 		for b := range probe {
 			for i := range b {
 				var key uint64
@@ -484,15 +479,12 @@ func (o *hashJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 						l, r = &built[m], &b[i]
 					}
 					if !em.emit(ctx, l, r) {
-						RecycleBatch(b)
-						for rest := range probe {
-							RecycleBatch(rest)
+						for range probe {
 						}
 						return
 					}
 				}
 			}
-			RecycleBatch(b)
 		}
 		em.flush(ctx)
 	}()
@@ -517,22 +509,6 @@ func sideStreams(ctx context.Context, op Operator, rows *Rows) []<-chan Batch {
 		return sc.openShards(ctx, rows)
 	}
 	return []<-chan Batch{op.open(ctx, rows)}
-}
-
-// drainRecycle empties streams, recycling every batch — the bail-out path
-// once the join has decided to stop consuming.
-func drainRecycle(chs ...<-chan Batch) {
-	var wg sync.WaitGroup
-	for _, ch := range chs {
-		wg.Add(1)
-		go func(ch <-chan Batch) {
-			defer wg.Done()
-			for b := range ch {
-				RecycleBatch(b)
-			}
-		}(ch)
-	}
-	wg.Wait()
 }
 
 // sidePos reads one row's Cartesian position from a side's projected
@@ -580,7 +556,8 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 				idx, err := hashm.NewSpatialIndex(cj.Radius, o.depth)
 				if err != nil {
 					parts[i].err = err
-					drainRecycle(ch)
+					for range ch {
+					}
 					return
 				}
 				var res []Result
@@ -593,13 +570,12 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 						it := hashm.Item{ID: catalog.ObjID(b[k].ObjID), Key: b[k].Key, Pos: v, Row: int32(len(res))}
 						if err := idx.Insert(it); err != nil {
 							parts[i].err = err
-							RecycleBatch(b)
-							drainRecycle(ch)
+							for range ch {
+							}
 							return
 						}
 						res = append(res, b[k])
 					}
-					RecycleBatch(b)
 				}
 				parts[i].idx, parts[i].res = idx, res
 			}(i, ch)
@@ -637,12 +613,11 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 			go func(ch <-chan Batch) {
 				defer pwg.Done()
 				em := newPairEmitter(o.e, cj, rows, out)
-				defer em.close()
 				for b := range ch {
 					if ctx.Err() != nil {
 						rows.interrupted.Store(true)
-						RecycleBatch(b)
-						drainRecycle(ch)
+						for range ch {
+						}
 						return
 					}
 					for k := range b {
@@ -661,19 +636,18 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 						})
 						if err != nil {
 							rows.setErr(err)
-							RecycleBatch(b)
-							drainRecycle(ch)
+							for range ch {
+							}
 							return
 						}
 						if !cont {
 							// The emitter stopped: the context fired and
 							// rows.interrupted is already marked.
-							RecycleBatch(b)
-							drainRecycle(ch)
+							for range ch {
+							}
 							return
 						}
 					}
-					RecycleBatch(b)
 				}
 				em.flush(ctx)
 			}(ch)

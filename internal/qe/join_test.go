@@ -515,9 +515,7 @@ func TestNeighborJoinCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := <-rows.C; ok {
-		RecycleBatch(b)
-	}
+	<-rows.C
 	rows.Close()
 	if err := rows.Err(); err != nil {
 		t.Fatalf("cancelled join reported error: %v", err)

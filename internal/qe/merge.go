@@ -74,9 +74,10 @@ func sortLess(a, b *Result, keyIdx int, desc bool) bool {
 
 // runSortShard drains one input stream (a sort node "must be complete
 // before results can be sent further up the tree") and re-emits it ordered
-// by (sort key, objid), the key living at keyIdx of each row's values. The
-// hidden sort key stays appended to each row for the downstream k-way
-// merge; runMergeOrdered strips it.
+// by (sort key, objid), the key living at keyIdx of each row's values, as
+// batch-sized windows over the one sorted slice. The hidden sort key stays
+// appended to each row for the downstream k-way merge; runMergeOrdered
+// strips it.
 func (e *Engine) runSortShard(ctx context.Context, keyIdx int, desc bool, in <-chan Batch, rows *Rows) <-chan Batch {
 	out := make(chan Batch, 4)
 	go func() {
@@ -84,25 +85,19 @@ func (e *Engine) runSortShard(ctx context.Context, keyIdx int, desc bool, in <-c
 		var all []Result
 		for b := range in {
 			all = append(all, b...)
-			RecycleBatch(b)
 		}
 		sort.Slice(all, func(i, j int) bool {
 			return sortLess(&all[i], &all[j], keyIdx, desc)
 		})
 		bs := e.batchSize()
 		for start := 0; start < len(all); start += bs {
-			end := start + bs
-			if end > len(all) {
-				end = len(all)
-			}
-			// Re-batch through the pool (a copy, not a window over `all`)
-			// so downstream recycling keeps the one-owner-per-buffer rule.
-			b := append(getBatch(bs), all[start:end]...)
+			end := min(start+bs, len(all))
+			// The capped window keeps a consumer's appends off its
+			// neighbor's rows.
 			select {
-			case out <- b:
+			case out <- all[start:end:end]:
 			case <-ctx.Done():
 				rows.interrupted.Store(true)
-				RecycleBatch(b)
 				return
 			}
 		}
@@ -122,9 +117,7 @@ type mergeCursor struct {
 func (c *mergeCursor) head() *Result { return &c.batch[c.pos] }
 
 // advance moves past the current result, pulling the next batch when the
-// current one is exhausted (and recycling the spent buffer — the merge
-// copies results out before emitting). It reports false when the stream is
-// done.
+// current one is exhausted. It reports false when the stream is done.
 func (c *mergeCursor) advance() bool {
 	c.pos++
 	for c.pos >= len(c.batch) {
@@ -132,7 +125,6 @@ func (c *mergeCursor) advance() bool {
 		if !ok {
 			return false
 		}
-		RecycleBatch(c.batch)
 		c.batch, c.pos = b, 0
 	}
 	return true
@@ -154,26 +146,23 @@ func (e *Engine) runMergeOrdered(ctx context.Context, keyIdx int, desc bool, ins
 				cursors = append(cursors, c)
 			}
 		}
-		batch := getBatch(e.batchSize())
+		batch := make(Batch, 0, e.batchSize())
 		emit := func() bool {
 			if len(batch) == 0 {
 				return true
 			}
 			select {
 			case out <- batch:
-				batch = getBatch(e.batchSize())
+				batch = make(Batch, 0, e.batchSize())
 				return true
 			case <-ctx.Done():
 				rows.interrupted.Store(true)
-				RecycleBatch(batch)
-				batch = nil
 				return false
 			}
 		}
 		drain := func() {
 			for _, c := range cursors {
-				for b := range c.ch {
-					RecycleBatch(b)
+				for range c.ch {
 				}
 			}
 		}
@@ -206,7 +195,6 @@ func (e *Engine) runMergeOrdered(ctx context.Context, keyIdx int, desc bool, ins
 			}
 		}
 		emit()
-		RecycleBatch(batch) // the trailing (empty or undelivered) buffer
 	}()
 	return out
 }
@@ -295,7 +283,6 @@ func (e *Engine) runAggregate(ctx context.Context, agg query.AggFunc, in <-chan 
 			for i := range b {
 				p.fold(agg, &b[i])
 			}
-			RecycleBatch(b)
 		}
 		select {
 		case out <- Batch{{Values: []float64{p.final(agg)}}}:

@@ -378,7 +378,7 @@ func (j *scanJob) getWorker() *scanWorker {
 		return w
 	}
 	j.wmu.Unlock()
-	w, err := newScanWorker(j.e, j.op)
+	w, err := newScanWorker(j.e, j.op, j.mode == scanFold)
 	if err != nil {
 		j.rows.setErr(err)
 		return nil
@@ -410,8 +410,8 @@ func (j *scanJob) emitTo(out chan Batch) func(Batch) bool {
 			case out <- b:
 				return true
 			case <-j.ctx.Done():
-				// The batch stays with the worker (finish recycles it): the
-				// stream was cut off mid-production.
+				// The batch is dropped: the stream was cut off
+				// mid-production.
 				j.rows.interrupted.Store(true)
 				return false
 			}
@@ -462,7 +462,6 @@ func (j *scanJob) runUnit(u unit) {
 				if st != nil {
 					st.rowsOut.Add(int64(len(b)))
 				}
-				RecycleBatch(b)
 				return true
 			}
 			examined, ok := w.scanContainer(cid)
@@ -516,9 +515,9 @@ func (j *scanJob) unitDone(u unit) {
 }
 
 // finish completes the job once every unit ran: flush worker remainders
-// (stream mode keeps rows batched across morsels), recycle worker buffers,
-// fold the pool counters into the plan stats, and close or emit the
-// output. It runs on its own goroutine, never on a pool slot.
+// (stream mode keeps rows batched across morsels), fold the pool counters
+// into the plan stats, and close or emit the output. It runs on its own
+// goroutine, never on a pool slot.
 func (j *scanJob) finish(steals int64) {
 	st := j.op.stats
 	if j.mode == scanStream {
@@ -538,8 +537,6 @@ func (j *scanJob) finish(steals int64) {
 		}
 	}
 	for _, w := range j.all {
-		RecycleBatch(w.batch)
-		w.batch = nil
 		if w.reader != nil && st != nil {
 			st.bytesDecoded.Add(w.reader.BytesDecoded())
 		}

@@ -172,7 +172,6 @@ func TestCloseMidStream(t *testing.T) {
 	got := 0
 	for b := range rows.C {
 		got += len(b)
-		RecycleBatch(b)
 		if got > 16 {
 			rows.Close() // must drain and stop the range loop promptly
 		}

@@ -44,8 +44,13 @@ type Result struct {
 	Values []float64
 }
 
-// Batch groups results to amortize channel traffic.
+// Batch groups results to amortize channel traffic. It is an ordinary
+// slice: whoever receives one may keep it, re-slice it, or drop it.
 type Batch []Result
+
+// RecycleBatch does nothing. Batches are garbage-collected like any other
+// slice; the function remains only so existing callers keep compiling.
+func RecycleBatch(Batch) {}
 
 // DefaultCoverDepth caps the depth a query region is covered to when
 // Engine.CoverDepth is 0. Depth-10 trixels are ~5.3 arcmin
@@ -215,20 +220,16 @@ func (r *Rows) Err() error {
 // another goroutine is still ranging over C.
 func (r *Rows) Close() {
 	r.cancel()
-	for b := range r.C {
-		RecycleBatch(b)
+	for range r.C {
 	}
 	<-r.done
 }
 
-// Collect drains the stream into a slice. The batch buffers are recycled
-// (the Result structs are copied out; their Values arrays are not pooled and
-// stay valid).
+// Collect drains the stream into a slice.
 func (r *Rows) Collect() ([]Result, error) {
 	var out []Result
 	for b := range r.C {
 		out = append(out, b...)
-		RecycleBatch(b)
 	}
 	return out, r.Err()
 }
@@ -296,8 +297,7 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 		defer close(final)
 		drain := func() {
 			cancel()
-			for b := range out {
-				RecycleBatch(b)
+			for range out {
 			}
 		}
 		// markTimeout records ErrTimeout only when the deadline lapsed
@@ -318,11 +318,8 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 			if skip > 0 {
 				if len(b) <= skip {
 					skip -= len(b)
-					RecycleBatch(b)
 					continue
 				}
-				// The forwarded sub-slice carries the buffer's ownership;
-				// the skipped head is simply dead capacity until recycle.
 				b = b[skip:]
 				skip = 0
 			}
@@ -333,7 +330,6 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 					rows.errMu.Lock()
 					rows.truncated = true
 					rows.errMu.Unlock()
-					RecycleBatch(b)
 					drain()
 					return
 				}
@@ -351,7 +347,6 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 						// Err() surfaces the timeout instead of reporting a
 						// silently shortened result.
 						rows.interrupted.Store(true)
-						RecycleBatch(b)
 					}
 					drain()
 					return
@@ -365,7 +360,6 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 				// markTimeout would see an "uninterrupted" stream and the
 				// partial result would pass for complete.
 				rows.interrupted.Store(true)
-				RecycleBatch(b)
 				drain()
 				markTimeout()
 				return
@@ -408,7 +402,7 @@ func (e *Engine) runUnion(ctx context.Context, left, right <-chan Batch, rows *R
 			for b := range in {
 				mu.Lock()
 				// In-place filter: the surviving results shift down inside
-				// the same buffer, whose ownership travels with them.
+				// the same batch.
 				filtered := b[:0]
 				for _, r := range b {
 					if _, dup := seen[r.ObjID]; dup {
@@ -419,16 +413,13 @@ func (e *Engine) runUnion(ctx context.Context, left, right <-chan Batch, rows *R
 				}
 				mu.Unlock()
 				if len(filtered) == 0 {
-					RecycleBatch(b)
 					continue
 				}
 				select {
 				case out <- filtered:
 				case <-ctx.Done():
 					rows.interrupted.Store(true)
-					RecycleBatch(filtered)
-					for b := range in {
-						RecycleBatch(b)
+					for range in {
 					}
 					return
 				}
@@ -457,7 +448,6 @@ func (e *Engine) runIntersect(ctx context.Context, left <-chan Batch, openRight 
 			for _, r := range b {
 				inLeft[r.ObjID] = struct{}{}
 			}
-			RecycleBatch(b)
 		}
 		if ctx.Err() != nil {
 			rows.interrupted.Store(true)
@@ -478,16 +468,13 @@ func (e *Engine) runIntersect(ctx context.Context, left <-chan Batch, openRight 
 				keep = append(keep, r)
 			}
 			if len(keep) == 0 {
-				RecycleBatch(b)
 				continue
 			}
 			select {
 			case out <- keep:
 			case <-ctx.Done():
 				rows.interrupted.Store(true)
-				RecycleBatch(keep)
-				for b := range right {
-					RecycleBatch(b)
+				for range right {
 				}
 				return
 			}
@@ -508,7 +495,6 @@ func (e *Engine) runMinus(ctx context.Context, openLeft func() <-chan Batch, rig
 			for _, r := range b {
 				sub[r.ObjID] = struct{}{}
 			}
-			RecycleBatch(b)
 		}
 		if ctx.Err() != nil {
 			rows.interrupted.Store(true)
@@ -529,16 +515,13 @@ func (e *Engine) runMinus(ctx context.Context, openLeft func() <-chan Batch, rig
 				keep = append(keep, r)
 			}
 			if len(keep) == 0 {
-				RecycleBatch(b)
 				continue
 			}
 			select {
 			case out <- keep:
 			case <-ctx.Done():
 				rows.interrupted.Store(true)
-				RecycleBatch(keep)
-				for b := range left {
-					RecycleBatch(b)
+				for range left {
 				}
 				return
 			}
@@ -555,8 +538,7 @@ func (e *Engine) runLimit(ctx context.Context, n int, in <-chan Batch, rows *Row
 		defer func() {
 			// Unblock the producer; the tree context may still be live
 			// if the limit is below the result count.
-			for b := range in {
-				RecycleBatch(b)
+			for range in {
 			}
 		}()
 		remaining := n
@@ -571,7 +553,6 @@ func (e *Engine) runLimit(ctx context.Context, n int, in <-chan Batch, rows *Row
 				// The batch in hand is dropped: the stream was cut off
 				// mid-production.
 				rows.interrupted.Store(true)
-				RecycleBatch(b)
 				return
 			}
 			if remaining == 0 {

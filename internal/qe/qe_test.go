@@ -299,8 +299,7 @@ func TestRowsClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows.Close()
-	for b := range rows.C {
-		RecycleBatch(b)
+	for range rows.C {
 	}
 	// Err must not report the cancellation as a failure.
 	if err := rows.Err(); err != nil {
@@ -355,7 +354,6 @@ func TestASAPFirstBatchStopsScan(t *testing.T) {
 	if !ok || len(b) == 0 {
 		t.Fatal("no first batch")
 	}
-	RecycleBatch(b)
 	rows.Close()
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)

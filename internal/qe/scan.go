@@ -12,7 +12,7 @@ import (
 
 // scanWorker is one scan goroutine's working state: the selective row
 // reader, the column reader with its selection scratch, and the current
-// output batch carved from the pool.
+// output batch with the value array its rows are carved from.
 type scanWorker struct {
 	cs       *query.CompiledSelect
 	sp       *scanPlan
@@ -34,7 +34,11 @@ type scanWorker struct {
 	batch   Batch
 	vals    []float64
 	emit    func(Batch) bool
-	err     error
+	// reuse marks an emit that consumes the batch before returning (the
+	// aggregate fold): nothing else ever sees the batch, so flush refills
+	// the same batch and value array instead of allocating new ones.
+	reuse bool
+	err   error
 }
 
 // initialFlushAt is the first-batch size of the emit ramp: the first batch
@@ -43,8 +47,7 @@ type scanWorker struct {
 // batch size so the steady state keeps its amortization.
 const initialFlushAt = 32
 
-// flush delivers the current batch (transferring ownership) and replaces
-// the buffer and its carved value array.
+// flush delivers the current batch and starts the next one.
 func (w *scanWorker) flush() bool {
 	if len(w.batch) == 0 {
 		return true
@@ -58,11 +61,21 @@ func (w *scanWorker) flush() bool {
 			w.flushAt = w.bs
 		}
 	}
-	w.batch = getBatch(w.bs)
+	if w.reuse {
+		w.batch, w.vals = w.batch[:0], w.vals[:0]
+	} else {
+		w.fresh()
+	}
+	return true
+}
+
+// fresh starts a new output batch and value array; the previous ones went
+// downstream with the emitted batch.
+func (w *scanWorker) fresh() {
+	w.batch = make(Batch, 0, w.bs)
 	if w.sp.width > 0 {
 		w.vals = make([]float64, 0, w.bs*w.sp.width)
 	}
-	return true
 }
 
 // scanContainer processes one container, taking the kernel path when a
@@ -223,16 +236,13 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 	return count, true
 }
 
-// newScanWorker builds one pooled scan worker for a leaf scan job: the row
-// reader, the kernel reader when the plan compiled one, and the first
-// batch buffer. The batch buffer comes from the pool; Values of all its
-// results are carved out of one backing array sized for a full batch, so
-// the per-record path allocates nothing. Every successful emit transfers
-// ownership and immediately replaces the buffer, so whatever the worker
-// still holds on any exit path (cancellation, scan error, the empty
-// post-flush buffer) is the job's to recycle at finish. The worker's shard
-// store (w.st) and emit are bound per morsel by the scheduler.
-func newScanWorker(e *Engine, o *scanOp) (*scanWorker, error) {
+// newScanWorker builds one scan worker for a leaf scan job: the row reader,
+// the kernel reader when the plan compiled one, and the first batch. Values
+// of all a batch's results are carved out of one backing array sized for a
+// full batch, so the per-record path allocates nothing. The worker's shard
+// store (w.st) and emit are bound per morsel by the scheduler; reuse is set
+// by a job whose emit is the aggregate fold.
+func newScanWorker(e *Engine, o *scanOp, reuse bool) (*scanWorker, error) {
 	rr, err := query.NewRowReader(o.cs.Table)
 	if err != nil {
 		return nil, err
@@ -241,14 +251,12 @@ func newScanWorker(e *Engine, o *scanOp) (*scanWorker, error) {
 	w := &scanWorker{
 		cs: o.cs, sp: o.plan, rangeSet: o.rangeSet, stats: o.stats,
 		rr: rr, getter: rr.Get,
-		bs: bs, flushAt: min(initialFlushAt, bs), batch: getBatch(bs),
+		bs: bs, flushAt: min(initialFlushAt, bs), reuse: reuse,
 	}
 	if o.plan.kernel != nil {
 		w.reader = colblk.NewReader()
 	}
-	if o.plan.width > 0 {
-		w.vals = make([]float64, 0, bs*o.plan.width)
-	}
+	w.fresh()
 	return w, nil
 }
 

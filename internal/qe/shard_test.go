@@ -252,8 +252,7 @@ func TestRowsCloseRaceAcrossShardProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			n := 0
-			for b := range rows.C {
-				RecycleBatch(b)
+			for range rows.C {
 				if n++; n >= 2 {
 					break
 				}

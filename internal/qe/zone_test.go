@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"sdss/internal/catalog"
@@ -239,14 +240,15 @@ func TestFanoutZonePruning(t *testing.T) {
 	}
 }
 
-// TestScanSteadyStateAllocs is the satellite guarantee: with batch buffers
-// pooled and Values carved from per-batch backing arrays, the per-record
-// scan path allocates (amortized) ~nothing.
+// TestScanSteadyStateAllocs pins the scan path's allocation budget per
+// batch, not per record: a batch costs one Batch slice and one Values
+// backing array that all its rows' values are carved from, so the
+// per-record path allocates (amortized) ~nothing.
 func TestScanSteadyStateAllocs(t *testing.T) {
 	e, photo, _ := testArchive(t, 8000, 11)
 	e.Workers = 2
 	q := "SELECT objid, r FROM tag WHERE r < 30" // matches everything
-	// Warm the pool and count rows once.
+	// Warm the engine's morsel pool and count rows once.
 	rows := len(mustCollect(t, e, q))
 	if rows < len(photo)/2 {
 		t.Fatalf("unexpected row count %d", rows)
@@ -256,18 +258,67 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b := range rs.C {
-			RecycleBatch(b)
+		for range rs.C {
 		}
 		if err := rs.Err(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	perRecord := avg / float64(rows)
-	// Budget: one Values backing array per 256-row batch plus fixed
-	// per-query setup, spread over thousands of records.
+	t.Logf("%.0f allocs per query, %.2f per 256-row batch", avg, perRecord*256)
+	// Budget: two allocations per 256-row batch plus fixed per-query setup,
+	// spread over thousands of records.
 	if perRecord > 0.25 {
 		t.Errorf("steady-state allocs = %.3f per record (%.0f per query), want ~0", perRecord, avg)
+	}
+}
+
+// TestFoldAllocatesNoBatchPerContainer pins the aggregate pushdown's
+// allocation: the fold consumes each batch inside the scan worker, so the
+// worker refills one batch and value array instead of allocating a new pair
+// per container. One 256-row batch alone is 10 KiB; the budget is under
+// 1 KiB per scanned container, all per-query setup included.
+func TestFoldAllocatesNoBatchPerContainer(t *testing.T) {
+	e, _, _ := testArchive(t, 20000, 11)
+	for _, q := range []string{
+		"SELECT AVG(r) FROM photoobj",
+		"SELECT COUNT(*) FROM photoobj WHERE g - r > 0.3",
+	} {
+		prep, err := query.PrepareString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := e.PlanAnalyze(prep, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := plan.Describe().Children[0]
+		scanned := sn.Containers - sn.ZonePruned
+		if sn.Op != "scan" || scanned < 1000 {
+			t.Fatalf("%s: only %d containers scanned; the per-container budget needs a whole-table scan", q, scanned)
+		}
+		run := func() {
+			rows, err := e.ExecutePlan(context.Background(), plan, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := rows.Collect(); err != nil || len(res) != 1 {
+				t.Fatalf("%s: %d rows, err %v", q, len(res), err)
+			}
+		}
+		run() // start the engine's morsel pool
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perContainer := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(scanned)
+		t.Logf("%s: %.0f B per scanned container", q, perContainer)
+		if perContainer >= 1024 {
+			t.Errorf("%s: %.0f B allocated per scanned container (%d containers), want < 1 KiB", q, perContainer, scanned)
+		}
 	}
 }
 
