@@ -50,8 +50,8 @@ func NewTarget(dir string, containerDepth, shards int) (*Target, error) {
 	// Every store maintains zone maps over the query schema's attributes
 	// (indexed by query.AttrID), so scans can prune containers on any
 	// predicate bound, not just spatial coverage — and compressed column
-	// blocks over the same attribute layout, so scans that survive pruning
-	// can run the vectorized filter kernels instead of the row loop.
+	// blocks over the same attribute layout, which the query engine's one
+	// scan path (the vectorized filter kernels) requires.
 	photo, err := store.OpenSharded(store.Options{
 		Dir: sub("photo"), ContainerDepth: containerDepth,
 		RecordSize: catalog.PhotoObjSize, KeyOffset: 8,

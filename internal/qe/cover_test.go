@@ -1,6 +1,7 @@
 package qe
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -214,8 +215,9 @@ func coverGridQueries(c *catalog.PhotoObj) []string {
 	)
 	var qs []string
 	for _, s := range shapes {
-		// The photo cut runs the column kernel with the row predicate as
-		// residual; the pure spatial tag query runs the row loop.
+		// The photo cut prefilters on the r range; the pure spatial tag
+		// query has no key range, so its kernel selects every record and
+		// filters on the decoded HTM column alone.
 		qs = append(qs,
 			"SELECT objid, ra, dec, r FROM photoobj WHERE "+s+" AND r < 22",
 			"SELECT objid, ra, dec FROM tag WHERE "+s)
@@ -226,17 +228,16 @@ func coverGridQueries(c *catalog.PhotoObj) []string {
 // TestCoverDepthGrid is the correctness grid for the cover depth: for a
 // depth coarser than the containers, the container depth, the per-table
 // rule, the old fixed 10 and a deeper 12, spatial results are bit-identical
-// to the unpruned row-loop baseline on one and four shards, on both scan
-// paths.
+// to the unpruned reference (refCollect) on one and four shards, and every
+// scan runs the column pipeline.
 func TestCoverDepthGrid(t *testing.T) {
 	const cd = 4
 	for _, shards := range []int{1, 4} {
 		e, photo := coverArchive(t, 6000, 11, cd, shards)
-		base := baselineEngine(e)
 		queries := coverGridQueries(&photo[10])
 		want := make([][]Result, len(queries))
 		for i, q := range queries {
-			want[i] = mustCollect(t, base, q)
+			want[i] = refCollect(t, e, q)
 			canonical(want[i])
 			// Every centre's widest cone, poles and seam included, must
 			// have rows for the comparison to mean something.
@@ -244,28 +245,15 @@ func TestCoverDepthGrid(t *testing.T) {
 				t.Errorf("shards=%d %q matched no rows", shards, q)
 			}
 		}
-		kernels := map[string]bool{}
 		for _, depth := range []int{cd - 2, cd, 0, 10, 12} {
 			pruned := &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, CoverDepth: depth}
 			for i, q := range queries {
-				prep, err := query.PrepareString(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plan, err := pruned.Plan(prep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				kernels[plan.Describe().Kernel] = true
-				got := mustCollect(t, pruned, q)
+				got := columnScan(t, pruned, q)
 				canonical(got)
 				if err := sameResultsExact(got, want[i]); err != nil {
 					t.Errorf("shards=%d CoverDepth=%d %q: %v", shards, depth, q, err)
 				}
 			}
-		}
-		if !kernels["vector+pred"] || !kernels["row"] {
-			t.Errorf("shards=%d: grid ran kernels %v, want both vector+pred and row", shards, kernels)
 		}
 	}
 }
@@ -287,6 +275,37 @@ func BenchmarkPlanSpatial(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			for b.Loop() {
 				if _, err := e.PlanAnalyze(prep, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScanSpatial times plan + execute + collect of the interactive
+// spatial shapes that offer the kernel no key range — a tag SELECT * cone,
+// a circle top-50 and a circle count with a colour residual — on the same
+// bench-density archive as BenchmarkPlanSpatial.
+func BenchmarkScanSpatial(b *testing.B) {
+	e, photo := coverArchive(b, 50000, 1, 4, 1)
+	c := &photo[0]
+	for _, bc := range []struct{ name, q string }{
+		{"cone10", fmt.Sprintf("SELECT * FROM tag WHERE CIRCLE(%v, %v, 10)", c.RA, c.Dec)},
+		{"top60", fmt.Sprintf("SELECT objid, ra, dec, r FROM tag WHERE CIRCLE(%v, %v, 60) ORDER BY r LIMIT 50", c.RA, c.Dec)},
+		{"count120", fmt.Sprintf("SELECT COUNT(*) FROM tag WHERE CIRCLE(%v, %v, 120) AND g - r > 0.4", c.RA, c.Dec)},
+	} {
+		prep, err := query.PrepareString(bc.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				rows, err := e.Execute(context.Background(), prep)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rows.Collect(); err != nil {
 					b.Fatal(err)
 				}
 			}

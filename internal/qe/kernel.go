@@ -6,17 +6,18 @@
 // colblk). All comparison happens in key space — an unsigned total order
 // agreeing with IEEE ordering on non-NaN values — so each interval becomes
 // one branch-free `key-lo <= span` test, NaN semantics fall out exactly as
-// the row path's float comparisons (NaN keys sit outside every real range),
-// and negated predicates that admit NaN add a second range test against the
-// [key(-Inf), key(+Inf)] band instead of a float isNaN call.
+// the row predicate's float comparisons (NaN keys sit outside every real
+// range), and negated predicates that admit NaN add a second range test
+// against the [key(-Inf), key(+Inf)] band instead of a float isNaN call.
 //
 // When query.KernelExact proves the ranges ARE the predicate, survivors
 // skip the compiled row predicate entirely; otherwise the kernel is a
-// conservative prefilter and the row predicate re-checks survivors against
-// the raw record. Either way only survivors materialize into result
-// batches, and constant/dictionary/frame-of-reference blocks whose key
-// bounds cannot intersect a range dismiss whole containers without
-// unpacking a single code.
+// conservative prefilter (possibly with no ranges at all — a purely
+// spatial, arithmetic or flag-mask predicate selects every record) and the
+// row predicate re-checks survivors against the raw record. Either way only
+// survivors materialize into result batches, and constant, dictionary and
+// frame-of-reference blocks whose key bounds cannot intersect a range
+// dismiss whole containers without unpacking a single code.
 package qe
 
 import (
@@ -24,13 +25,12 @@ import (
 
 	"sdss/internal/colblk"
 	"sdss/internal/query"
-	"sdss/internal/store"
 )
 
 // scanPlan is the per-query leaf-scan state the planner computes once and
 // every shard worker shares: the hidden (sort/aggregate) column list and
 // result width that used to be recomputed per slice, plus the compiled
-// kernel (nil when the scan must run the row path).
+// kernel.
 type scanPlan struct {
 	hidden []query.AttrID
 	width  int
@@ -39,7 +39,7 @@ type scanPlan struct {
 
 // newScanPlan hoists the per-shard scan setup to plan time: the scatter
 // used to rebuild this state inside every shard slice's runScan call.
-func (e *Engine) newScanPlan(cs *query.CompiledSelect, st *store.Sharded) *scanPlan {
+func newScanPlan(cs *query.CompiledSelect) *scanPlan {
 	sp := &scanPlan{}
 	if cs.Order != query.AttrInvalid {
 		sp.hidden = append(sp.hidden, cs.Order)
@@ -48,7 +48,7 @@ func (e *Engine) newScanPlan(cs *query.CompiledSelect, st *store.Sharded) *scanP
 		sp.hidden = append(sp.hidden, cs.AggCol)
 	}
 	sp.width = len(cs.Cols) + len(sp.hidden)
-	sp.kernel = e.compileKernel(cs, st, sp)
+	sp.kernel = compileKernel(cs, sp)
 	return sp
 }
 
@@ -98,29 +98,18 @@ type kernelPred struct {
 
 // name labels the scan's kernel for EXPLAIN.
 func (kp *kernelPlan) name() string {
-	switch {
-	case kp == nil:
-		return "row"
-	case kp.exact:
+	if kp.exact {
 		return "vector"
-	default:
-		return "vector+pred"
 	}
+	return "vector+pred"
 }
 
-// compileKernel builds the kernel plan for a leaf scan, or nil when the
-// scan must run the row path: the engine is a test's row-loop reference,
-// the store keeps no column blocks, or the predicate offers neither
-// exactness nor a single range to prefilter on (a purely spatial or
-// flag-mask predicate gains nothing from decoding columns).
-func (e *Engine) compileKernel(cs *query.CompiledSelect, st *store.Sharded, sp *scanPlan) *kernelPlan {
-	if e.noKernel || !st.ColBlkEnabled() {
-		return nil
-	}
+// compileKernel builds the kernel plan for a leaf scan over a store that
+// keeps column blocks (planLeaf checks). A predicate that yields no usable
+// key range compiles to a kernel with no range tests: it selects every
+// record and the row predicate decides.
+func compileKernel(cs *query.CompiledSelect, sp *scanPlan) *kernelPlan {
 	spec := query.ColumnSpecs(cs.Table)
-	if spec == nil {
-		return nil
-	}
 	kp := &kernelPlan{spec: spec}
 	switch cs.Table {
 	case query.TablePhoto:
@@ -129,8 +118,6 @@ func (e *Engine) compileKernel(cs *query.CompiledSelect, st *store.Sharded, sp *
 		kp.objCol, kp.htmCol = int(query.TagObjID), int(query.TagHTMID)
 	case query.TableSpec:
 		kp.objCol, kp.htmCol = int(query.SpecObjID), int(query.SpecHTMID)
-	default:
-		return nil
 	}
 	var where query.Expr
 	if cs.Source != nil {
@@ -138,10 +125,9 @@ func (e *Engine) compileKernel(cs *query.CompiledSelect, st *store.Sharded, sp *
 	}
 	kp.exact = query.KernelExact(cs.Table, where)
 
-	switch {
-	case cs.Bounds != nil && cs.Bounds.Never:
-		kp.never = true
-	case cs.Bounds != nil:
+	// A provably false predicate (Bounds.Never) never reaches a kernel: the
+	// planner answers it with the empty access path.
+	if cs.Bounds != nil {
 		// Deterministic pred order (ByAttr is a map).
 		attrs := make([]query.AttrID, 0, len(cs.Bounds.ByAttr))
 		for a := range cs.Bounds.ByAttr {
@@ -177,9 +163,6 @@ func (e *Engine) compileKernel(cs *query.CompiledSelect, st *store.Sharded, sp *
 			}
 			kp.preds = append(kp.preds, p)
 		}
-	}
-	if !kp.exact && len(kp.preds) == 0 && !kp.never {
-		return nil
 	}
 
 	for _, a := range cs.Cols {

@@ -1,22 +1,20 @@
 package qe
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"sdss/internal/catalog"
+	"sdss/internal/colblk"
 	"sdss/internal/load"
+	"sdss/internal/query"
 	"sdss/internal/skygen"
 	"sdss/internal/store"
 )
-
-// rowEngine builds an engine over e's stores with the vectorized kernels
-// disabled, so every scan runs the row loop. Zone pruning stays on: the
-// property under test is the kernel path alone.
-func rowEngine(e *Engine) *Engine {
-	return &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, noKernel: true}
-}
 
 // kernelPropertyQueries covers every kernel shape: exact key-range kernels
 // (range, equality, dictionary), prefilter+residual (arithmetic, OR),
@@ -44,16 +42,16 @@ var kernelPropertyQueries = []string{
 }
 
 // TestKernelScanMatchesRowScan is the acceptance property: kernel-filtered
-// scans return bit-identical results to the legacy row path, across seeds,
-// the full predicate grid, and 1-versus-8-shard layouts.
+// scans return bit-identical results to the row-by-row reference
+// (refCollect), across seeds, the full predicate grid, and 1-versus-8-shard
+// layouts.
 func TestKernelScanMatchesRowScan(t *testing.T) {
 	for _, seed := range []int64{7, 23} {
 		for _, shards := range []int{1, 8} {
 			e := testShardArchive(t, 6000, seed, shards)
-			row := rowEngine(e)
 			for _, q := range kernelPropertyQueries {
 				got := mustCollect(t, e, q)
-				want := mustCollect(t, row, q)
+				want := refCollect(t, e, q)
 				canonical(got)
 				canonical(want)
 				if err := sameResultsExact(got, want); err != nil {
@@ -68,11 +66,10 @@ func TestKernelScanMatchesRowScan(t *testing.T) {
 // point predicate taken from a real loaded object.
 func TestKernelObjIDEquality(t *testing.T) {
 	e, photo, _ := testArchive(t, 4000, 5)
-	row := rowEngine(e)
 	for _, i := range []int{0, len(photo) / 3, len(photo) - 1} {
 		q := fmt.Sprintf("SELECT objid, r FROM photoobj WHERE objid = %d", photo[i].ObjID)
 		got := mustCollect(t, e, q)
-		want := mustCollect(t, row, q)
+		want := refCollect(t, e, q)
 		if err := sameResultsExact(got, want); err != nil {
 			t.Errorf("%q: %v", q, err)
 		}
@@ -84,10 +81,9 @@ func TestKernelObjIDEquality(t *testing.T) {
 
 // TestKernelNaNColumns runs the kernel path over a store with NaN-bearing
 // magnitude columns: plain comparisons must drop NaN rows, negations must
-// return exactly them, matching the row loop bit for bit.
+// return exactly them, matching the reference bit for bit.
 func TestKernelNaNColumns(t *testing.T) {
 	e, _, _ := nanArchive(t)
-	row := rowEngine(e)
 	for _, q := range []string{
 		"SELECT objid, r FROM tag WHERE r < 100",
 		"SELECT objid, r FROM tag WHERE NOT (r < 100)",
@@ -96,7 +92,7 @@ func TestKernelNaNColumns(t *testing.T) {
 		"SELECT objid, r FROM tag WHERE r >= 14 AND r <= 18",
 	} {
 		got := mustCollect(t, e, q)
-		want := mustCollect(t, row, q)
+		want := refCollect(t, e, q)
 		canonical(got)
 		canonical(want)
 		if err := sameResultsExact(got, want); err != nil {
@@ -105,33 +101,94 @@ func TestKernelNaNColumns(t *testing.T) {
 	}
 }
 
-// TestKernelForcedRawBlocks flips every slab to forced-raw encodings and
-// re-runs the grid: the kernels must be encoding-agnostic.
+// TestKernelForcedRawBlocks runs scanKernel over every container twice —
+// on its real slab and on a forced-raw encoding of the same records (every
+// stored column EncRaw) — and requires identical batches for every grid
+// shape: the kernels must be encoding-agnostic.
 func TestKernelForcedRawBlocks(t *testing.T) {
 	e := testShardArchive(t, 5000, 11, 2)
-	row := rowEngine(e)
-	for _, st := range []interface {
-		SetColBlkRaw(bool)
-		RebuildColBlks()
-	}{e.Photo, e.Tag, e.Spec} {
-		st.SetColBlkRaw(true)
-		st.RebuildColBlks()
-	}
+	rows := 0
 	for _, q := range kernelPropertyQueries {
-		got := mustCollect(t, e, q)
-		want := mustCollect(t, row, q)
-		canonical(got)
-		canonical(want)
-		if err := sameResultsExact(got, want); err != nil {
-			t.Errorf("raw blocks %q: %v", q, err)
+		prep, err := query.PrepareString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := e.planLeaf(prep.Select, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compressed := 0
+		for _, sh := range op.st.Shards() {
+			opts := sh.Options()
+			for _, cid := range sh.Containers() {
+				data, count, slab := sh.ColumnData(cid)
+				forced := opts.Columns.Encode(data, count, opts.RecordSize, true)
+				if forced.EncodedBytes() > slab.EncodedBytes() {
+					compressed++
+				}
+				real := scanSlab(t, e, op, sh, data, count, slab)
+				raw := scanSlab(t, e, op, sh, data, count, forced)
+				if err := sameBatches(real, raw); err != nil {
+					t.Fatalf("%q container %v: real vs forced-raw slab: %v", q, cid, err)
+				}
+				for _, b := range real {
+					rows += len(b)
+				}
+			}
+		}
+		if compressed == 0 {
+			t.Fatalf("%q: no slab compressed below forced-raw: the comparison is vacuous", q)
 		}
 	}
+	if rows == 0 {
+		t.Fatal("the grid emitted no rows: the comparison is vacuous")
+	}
+}
+
+// scanSlab runs one fresh scan worker of op over a container's records and
+// the given slab, returning the batches it emits.
+func scanSlab(t *testing.T, e *Engine, op *scanOp, sh *store.Store, data []byte, count int, slab *colblk.Slab) []Batch {
+	t.Helper()
+	w, err := newScanWorker(e, op, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Batch
+	w.st = sh
+	w.emit = func(b Batch) bool {
+		out = append(out, b)
+		return true
+	}
+	if _, ok := w.scanKernel(data, count, slab); !ok {
+		t.Fatal(w.err)
+	}
+	w.flush()
+	return out
+}
+
+// sameBatches compares two batch sequences boundary for boundary, keys
+// included.
+func sameBatches(a, b []Batch) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d batches vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if err := sameResultsExact(a[i], b[i]); err != nil {
+			return fmt.Errorf("batch %d: %v", i, err)
+		}
+		for j := range a[i] {
+			if a[i][j].Key != b[i][j].Key {
+				return fmt.Errorf("batch %d row %d: key %v vs %v", i, j, a[i][j].Key, b[i][j].Key)
+			}
+		}
+	}
+	return nil
 }
 
 // TestKernelLegacyArchiveRebuild reopens a persisted archive whose COLBLK
 // sidecars were deleted — the pre-columnar on-disk layout. Slabs must
-// rebuild transparently, validate, and the kernel path must still agree
-// with the row loop.
+// rebuild transparently, validate, and the kernel must still agree with
+// the reference.
 func TestKernelLegacyArchiveRebuild(t *testing.T) {
 	dir := t.TempDir()
 	photo, spec, err := skygen.GenerateAll(skygen.Default(13, 4000), 2)
@@ -171,10 +228,9 @@ func TestKernelLegacyArchiveRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Photo: re.Photo, Tag: re.Tag, Spec: re.Spec}
-	row := rowEngine(e)
 	for _, q := range kernelPropertyQueries {
 		got := mustCollect(t, e, q)
-		want := mustCollect(t, row, q)
+		want := refCollect(t, e, q)
 		canonical(got)
 		canonical(want)
 		if err := sameResultsExact(got, want); err != nil {
@@ -187,6 +243,99 @@ func TestKernelLegacyArchiveRebuild(t *testing.T) {
 			if err := st.CheckColBlk(cid); err != nil {
 				t.Fatalf("rebuilt slab %v: %v", cid, err)
 			}
+		}
+	}
+}
+
+// columnScan runs q under EXPLAIN ANALYZE and checks that its scan ran the
+// column pipeline: a vector or vector+pred kernel that decoded column bytes
+// whenever it examined records. (A per-shard ORDER BY scan may publish its
+// decode counter after its streams close, so q should be unordered.)
+func columnScan(t *testing.T, e *Engine, q string) []Result {
+	t.Helper()
+	plan, rows := openAnalyzed(t, e, q)
+	res, err := rows.Collect()
+	if err != nil {
+		t.Fatalf("collect %q: %v", q, err)
+	}
+	sn := scanNode(t, plan)
+	if sn.Kernel != "vector" && sn.Kernel != "vector+pred" {
+		t.Errorf("%q: scan kernel %q, want vector or vector+pred", q, sn.Kernel)
+	}
+	if sn.Actual.RowsIn > 0 && sn.Actual.BytesDecoded == 0 {
+		t.Errorf("%q: scan examined %d records but decoded no column bytes", q, sn.Actual.RowsIn)
+	}
+	return res
+}
+
+// TestEveryScanRunsColumnPipeline is the one-physical-scan property: the
+// shapes that offer the kernel no key range (purely spatial, derived
+// outputs, arithmetic) run the column pipeline like every other scan, and
+// answer exactly what the reference does.
+func TestEveryScanRunsColumnPipeline(t *testing.T) {
+	e, photo := shardedArchive(t, 4000, 5, 2)
+	nan, _, _ := nanArchive(t)
+	c := &photo[10]
+	for _, tc := range []struct {
+		e *Engine
+		q string
+	}{
+		{e, fmt.Sprintf("SELECT * FROM tag WHERE CIRCLE(%v, %v, 30)", c.RA, c.Dec)},
+		{e, fmt.Sprintf("SELECT objid, ra, dec, r FROM photoobj WHERE RECT(%v, %v, %v, %v)", c.RA-0.5, c.RA+0.5, c.Dec-0.5, c.Dec+0.5)},
+		{e, "SELECT objid, u, g FROM tag WHERE u - g > 1"},
+		{e, "SELECT objid, ra, dec FROM tag"},
+		{e, fmt.Sprintf("SELECT objid, r FROM photoobj WHERE objid = %d", c.ObjID)},
+		{nan, "SELECT objid, r FROM tag WHERE NOT (r < 17)"},
+	} {
+		got := columnScan(t, tc.e, tc.q)
+		want := refCollect(t, tc.e, tc.q)
+		canonical(got)
+		canonical(want)
+		if len(want) == 0 {
+			t.Errorf("%q: reference matched no rows", tc.q)
+		}
+		if err := sameResultsExact(got, want); err != nil {
+			t.Errorf("%q: %v", tc.q, err)
+		}
+	}
+}
+
+// TestPlanRequiresColumnBlocks: a store without a column spec cannot be
+// scanned, and planning says so by table name instead of answering with
+// zero rows.
+func TestPlanRequiresColumnBlocks(t *testing.T) {
+	photo, _, err := skygen.GenerateAll(skygen.Default(3, 200), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenSharded(store.Options{RecordSize: catalog.TagSize, KeyOffset: 8}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]store.Record, len(photo))
+	for i := range photo {
+		tag := catalog.MakeTag(&photo[i])
+		recs[i] = store.Record{HTMID: tag.HTMID, Data: tag.AppendTo(nil)}
+	}
+	if err := st.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Tag: st}
+	for _, q := range []string{
+		"SELECT objid FROM tag",
+		"SELECT COUNT(*) FROM tag WHERE r < 30",
+		"SELECT objid FROM tag WHERE r < 18 UNION SELECT objid FROM tag WHERE g < 18",
+	} {
+		prep, err := query.PrepareString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Plan(prep)
+		if err == nil || !strings.Contains(err.Error(), "table tag") {
+			t.Errorf("%q: plan error %v, want one naming table tag", q, err)
+		}
+		if _, err := e.ExecuteString(context.Background(), q); err == nil {
+			t.Errorf("%q: executed over a store with no column blocks", q)
 		}
 	}
 }

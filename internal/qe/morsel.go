@@ -464,7 +464,7 @@ func (j *scanJob) runUnit(u unit) {
 				}
 				return true
 			}
-			examined, ok := w.scanContainer(cid)
+			examined, ok := w.scanKernel(w.st.ColumnData(cid))
 			if st != nil {
 				st.rowsIn.Add(int64(examined))
 			}
@@ -490,7 +490,7 @@ func (j *scanJob) runUnit(u unit) {
 			j.rows.interrupted.Store(true)
 			return
 		}
-		examined, ok := w.scanContainer(cid)
+		examined, ok := w.scanKernel(w.st.ColumnData(cid))
 		if st != nil {
 			st.rowsIn.Add(int64(examined))
 		}
@@ -536,12 +536,10 @@ func (j *scanJob) finish(steals int64) {
 			}
 		}
 	}
-	for _, w := range j.all {
-		if w.reader != nil && st != nil {
+	if st != nil {
+		for _, w := range j.all {
 			st.bytesDecoded.Add(w.reader.BytesDecoded())
 		}
-	}
-	if st != nil {
 		st.steals.Add(steals)
 		st.workers.Store(int64(len(j.all)))
 	}

@@ -83,13 +83,13 @@ type OpNode struct {
 	// Engine.CoverDepth when set, otherwise chosen from the store's record
 	// density.
 	CoverDepth int `json:"cover_depth,omitempty"`
-	// Kernel names a scan's record-evaluation path: "vector" (key-range
-	// kernels are the whole predicate), "vector+pred" (kernels prefilter,
-	// the row predicate re-checks survivors), or "row" (the legacy loop).
+	// Kernel names how a scan's column kernel evaluates records: "vector"
+	// (key-range tests are the whole predicate) or "vector+pred" (the row
+	// predicate re-checks the survivors of any key-range tests).
 	Kernel string `json:"kernel,omitempty"`
 	// EstRows is the optimizer's output-cardinality estimate; EstCost its
-	// cost estimate in bytes scanned (encoded column-block bytes for kernel
-	// scans, raw record bytes for row scans).
+	// cost estimate in bytes scanned (the encoded column-block bytes of the
+	// columns a scan's kernel references).
 	EstRows float64 `json:"est_rows"`
 	EstCost float64 `json:"est_cost"`
 	// Actual carries the measured counters after EXPLAIN ANALYZE.

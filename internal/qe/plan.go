@@ -14,10 +14,10 @@
 //     of the predicate's Bounds, batched over each shard's candidates via
 //     store.ZoneStatsAll), with a partial-coverage discount for containers
 //     the region only clips.
-//   - Scan cost in bytes scanned: kernel scans charge encoded column-block
-//     bytes (raw record bytes × the store's measured compression ratio),
-//     row scans charge raw record bytes — so EXPLAIN's est_cost is
-//     comparable to the bytes_decoded actual.
+//   - Scan cost in bytes scanned: the encoded column-block bytes of the
+//     columns the kernel references (their raw bytes × the store's measured
+//     compression ratio) — so EXPLAIN's est_cost is comparable to the
+//     bytes_decoded actual.
 //   - Join sides by estimated cardinality: the hash join builds on the
 //     smaller input and probes with the larger.
 //
@@ -152,16 +152,20 @@ func (e *Engine) planSelect(cs *query.CompiledSelect, analyze bool) (Operator, e
 }
 
 // planLeaf chooses the access path for one leaf scan and computes its
-// estimates from store statistics.
+// estimates from store statistics. Every scan runs the column kernel, so
+// the table's store must keep column blocks (store.Options.Columns).
 func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, error) {
 	st, err := e.storeFor(cs.Table)
 	if err != nil {
 		return nil, err
 	}
+	if !st.ColBlkEnabled() {
+		return nil, fmt.Errorf("qe: table %s: store keeps no column blocks (store.Options.Columns is nil)", cs.Table)
+	}
 	shards := st.Shards()
 	op := &scanOp{
 		e: e, cs: cs, st: st,
-		plan:            e.newScanPlan(cs, st),
+		plan:            newScanPlan(cs),
 		shardContainers: make([][]htm.ID, len(shards)),
 		shardContEst:    make([][]float64, len(shards)),
 		shardContCnt:    make([][]float64, len(shards)),
@@ -180,9 +184,8 @@ func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, erro
 	}
 
 	// A provably false predicate answers empty without touching a single
-	// container; the unpruned test reference still scans, so the grids
-	// check the bounds analyzer's verdict against every record.
-	if cs.Bounds != nil && cs.Bounds.Never && !e.noZone {
+	// container.
+	if cs.Bounds != nil && cs.Bounds.Never {
 		op.info.Access = "empty"
 		return op, nil
 	}
@@ -240,7 +243,7 @@ func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, erro
 	// Zones are only consulted when the predicate yields bounds — a pure
 	// spatial or unfiltered query must not pay on-demand zone rebuilds on
 	// a pre-zone archive just to be planned.
-	zoneCheck := e.zoneAdmit(cs)
+	zoneCheck := cs.Bounds.CompileZone()
 	var estRows, scanRecords float64
 	pruned := 0
 	for i, sh := range shards {
@@ -283,18 +286,14 @@ func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, erro
 	op.info.Containers = nCandidates
 	op.info.ZonePruned = pruned
 	op.info.EstRows = estRows
-	// Cost is estimated in bytes scanned: the kernel path streams the
-	// encoded bytes of just the columns it references (discounted by the
-	// store's measured compression ratio), the row path the full record.
-	if kp := op.plan.kernel; kp != nil {
-		perRec := float64(kp.perRecBytes)
-		if enc, raw := st.ColBlkBytes(); raw > 0 {
-			perRec *= float64(enc) / float64(raw)
-		}
-		op.info.EstCost = scanRecords * perRec
-	} else {
-		op.info.EstCost = scanRecords * float64(query.RecordSize(cs.Table))
+	// Cost is estimated in bytes scanned: the kernel streams the encoded
+	// bytes of just the columns it references (their raw footprint
+	// discounted by the store's measured compression ratio).
+	perRec := float64(op.plan.kernel.perRecBytes)
+	if enc, raw := st.ColBlkBytes(); raw > 0 {
+		perRec *= float64(enc) / float64(raw)
 	}
+	op.info.EstCost = scanRecords * perRec
 	switch {
 	case rangeSet != nil && zoneCheck != nil:
 		op.info.Access = "htm-index+zone"

@@ -89,11 +89,6 @@ type Engine struct {
 	// It exists for the index-versus-scan crossover experiment (E14).
 	NoIndex bool
 
-	// noZone and noKernel turn off zone-map container pruning and the
-	// column-block filter kernels: the unpruned row-loop reference arm of
-	// the conformance tests, never set in production.
-	noZone, noKernel bool
-
 	// The engine-wide morsel scheduler (morsel.go), created on first
 	// dispatch and shared by every query on this engine. The sync.Once
 	// also makes go vet's copylocks check reject any copy of an Engine.
@@ -654,9 +649,9 @@ func (e *Engine) fanoutSelect(cs *query.CompiledSelect) ([]ShardFanout, error) {
 		Indexed:            rangeSet != nil,
 		ContainersPerShard: make([]int, st.NumShards()),
 	}
-	// zoneAdmit already answers false for every container when the bounds
-	// are provably unsatisfiable, so Never needs no special case here.
-	zoneCheck := e.zoneAdmit(cs)
+	// The zone filter already answers false for every container when the
+	// bounds are provably unsatisfiable, so Never needs no special case here.
+	zoneCheck := cs.Bounds.CompileZone()
 	for i, sh := range st.Shards() {
 		for _, cid := range sh.Containers() {
 			if rangeSet != nil && !rangeSet.OverlapsTrixel(cid) {

@@ -23,7 +23,7 @@ type scanWorker struct {
 	rr     *query.RowReader
 	getter query.Getter // rr.Get, bound once for the compiled predicate
 
-	// Kernel-path scratch, reused across containers: the column reader's
+	// Column scratch, reused across containers: the column reader's
 	// decode buffers, the selection vector, and the per-output key slices.
 	reader  *colblk.Reader
 	sel     []int32
@@ -78,69 +78,16 @@ func (w *scanWorker) fresh() {
 	}
 }
 
-// scanContainer processes one container, taking the kernel path when a
-// fresh column slab exists and falling back to the row loop otherwise
-// (legacy archives without COLBLK sidecars run entirely on the fallback).
-// It returns the number of records examined and whether the worker should
-// continue; on false, w.err carries the failure (context.Canceled for an
-// interrupted emit).
-func (w *scanWorker) scanContainer(cid htm.ID) (int, bool) {
-	if w.sp.kernel != nil {
-		if data, count, slab := w.st.ColumnData(cid); slab != nil {
-			return w.scanKernel(data, count, slab)
-		}
-	}
-	return w.scanRows(cid)
-}
-
-// scanRows is the row loop: point the reader at every record, run the
-// compiled predicate, project through the getter.
-func (w *scanWorker) scanRows(cid htm.ID) (int, bool) {
-	examined := 0
-	err := w.st.ForEachInContainer(cid, func(rec []byte) error {
-		examined++
-		// Cheap prefilter on the embedded key before paying for attribute
-		// reads: skip records whose fine trixel falls outside the coverage.
-		if w.rangeSet != nil && !w.rangeSet.Contains(w.st.KeyOf(rec)) {
-			return nil
-		}
-		if err := w.rr.Reset(rec); err != nil {
-			return err
-		}
-		if w.cs.Pred != nil && !w.cs.Pred(w.getter) {
-			return nil
-		}
-		res := Result{ObjID: w.rr.ObjID(), Key: w.st.KeyOf(rec)}
-		if w.sp.width > 0 {
-			start := len(w.vals)
-			for _, col := range w.cs.Cols {
-				w.vals = append(w.vals, w.getter(col))
-			}
-			for _, col := range w.sp.hidden {
-				w.vals = append(w.vals, w.getter(col))
-			}
-			res.Values = w.vals[start:len(w.vals):len(w.vals)]
-		}
-		w.batch = append(w.batch, res)
-		if len(w.batch) >= w.flushAt && !w.flush() {
-			return context.Canceled
-		}
-		return nil
-	})
-	if err != nil {
-		w.err = err
-		return examined, false
-	}
-	return examined, true
-}
-
-// scanKernel runs the vectorized path over one container's column slab:
-// block-level probes first (a constant or dictionary block whose keys
-// cannot match dismisses the container without unpacking a code), then the
-// branch-free range filters build a selection vector over decoded key
-// columns, and only survivors materialize — from keys for stored
+// scanKernel is the one per-container scan, run over the container's
+// column slab (store.ColumnData's snapshot): block-level probes first (a
+// constant or dictionary block whose keys cannot match dismisses the
+// container without unpacking a code), then the branch-free range filters
+// and the coverage test on the decoded HTM column build a selection
+// vector, and only survivors materialize — from keys for stored
 // attributes, through the row reader for derived ones and any residual
-// predicate.
+// predicate. It returns the number of records examined and whether the
+// worker should continue; on false, w.err carries the failure
+// (context.Canceled for an interrupted emit).
 func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int, bool) {
 	kp := w.sp.kernel
 	if count == 0 {
@@ -175,7 +122,8 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 	}
 	htmKeys := w.reader.Keys(kp.htmCol)
 	if n < 0 {
-		// No range predicates (an exact unfiltered scan): select all.
+		// No range predicates (no WHERE, or none with a usable key range):
+		// select all.
 		for i := range sel {
 			sel[i] = int32(i)
 		}
@@ -237,9 +185,9 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 }
 
 // newScanWorker builds one scan worker for a leaf scan job: the row reader,
-// the kernel reader when the plan compiled one, and the first batch. Values
-// of all a batch's results are carved out of one backing array sized for a
-// full batch, so the per-record path allocates nothing. The worker's shard
+// the column reader, and the first batch. Values of all a batch's results
+// are carved out of one backing array sized for a full batch, so the
+// per-record path allocates nothing. The worker's shard
 // store (w.st) and emit are bound per morsel by the scheduler; reuse is set
 // by a job whose emit is the aggregate fold.
 func newScanWorker(e *Engine, o *scanOp, reuse bool) (*scanWorker, error) {
@@ -250,21 +198,9 @@ func newScanWorker(e *Engine, o *scanOp, reuse bool) (*scanWorker, error) {
 	bs := e.batchSize()
 	w := &scanWorker{
 		cs: o.cs, sp: o.plan, rangeSet: o.rangeSet, stats: o.stats,
-		rr: rr, getter: rr.Get,
+		rr: rr, getter: rr.Get, reader: colblk.NewReader(),
 		bs: bs, flushAt: min(initialFlushAt, bs), reuse: reuse,
-	}
-	if o.plan.kernel != nil {
-		w.reader = colblk.NewReader()
 	}
 	w.fresh()
 	return w, nil
-}
-
-// zoneAdmit returns the compiled zone-map filter for a select, or nil when
-// zone pruning cannot apply (no bounds, or the unpruned test reference).
-func (e *Engine) zoneAdmit(cs *query.CompiledSelect) *query.ZoneFilter {
-	if e.noZone {
-		return nil
-	}
-	return cs.Bounds.CompileZone()
 }

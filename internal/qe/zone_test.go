@@ -13,16 +13,6 @@ import (
 	"sdss/internal/store"
 )
 
-// baselineEngine builds the unpruned engine over e's stores: no HTM
-// pruning, no zone pruning, no column kernels — every record goes through
-// the row loop. Its results are the ground truth zone-pruned scans must
-// reproduce exactly; query.TestRowReaderMatchesStructCodecs ties the row
-// loop's reads to the catalog struct codecs.
-func baselineEngine(e *Engine) *Engine {
-	return &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec,
-		NoIndex: true, noZone: true, noKernel: true}
-}
-
 // sameResultsExact compares two result sets bit-exactly (NaN == NaN).
 func sameResultsExact(a, b []Result) error {
 	if len(a) != len(b) {
@@ -68,15 +58,14 @@ var zonePropertyQueries = []string{
 }
 
 // TestZonePruningConservative is the acceptance property: zone-pruned,
-// kernel-filtered results are identical to a NoIndex full row-loop scan,
-// across the seeded query grid, on 1 and 3 shards.
+// kernel-filtered results are identical to the unpruned row-by-row
+// reference (refCollect), across the seeded query grid, on 1 and 3 shards.
 func TestZonePruningConservative(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		e := testShardArchive(t, 6000, 7, shards)
-		base := baselineEngine(e)
 		for _, q := range zonePropertyQueries {
 			got := mustCollect(t, e, q)
-			want := mustCollect(t, base, q)
+			want := refCollect(t, e, q)
 			canonical(got)
 			canonical(want)
 			if err := sameResultsExact(got, want); err != nil {
@@ -97,7 +86,6 @@ func testShardArchive(t testing.TB, n int, seed int64, shards int) *Engine {
 // must compose without losing rows.
 func TestZonePlusSpatialPruning(t *testing.T) {
 	e, photo, _ := testArchive(t, 5000, 9)
-	base := baselineEngine(e)
 	c := &photo[42]
 	queries := []string{
 		fmt.Sprintf("SELECT objid, r FROM tag WHERE CIRCLE(%v, %v, 45) AND r < 20", c.RA, c.Dec),
@@ -106,7 +94,7 @@ func TestZonePlusSpatialPruning(t *testing.T) {
 	}
 	for _, q := range queries {
 		got := mustCollect(t, e, q)
-		want := mustCollect(t, base, q)
+		want := refCollect(t, e, q)
 		canonical(got)
 		canonical(want)
 		if err := sameResultsExact(got, want); err != nil {
@@ -151,7 +139,6 @@ func nanArchive(t testing.TB) (*Engine, int, int) {
 
 func TestZoneNaNColumns(t *testing.T) {
 	e, n, nan := nanArchive(t)
-	base := baselineEngine(e)
 
 	// NaN rows never satisfy a plain comparison...
 	got := mustCollect(t, e, "SELECT objid FROM tag WHERE r < 100")
@@ -168,7 +155,7 @@ func TestZoneNaNColumns(t *testing.T) {
 			t.Fatalf("non-NaN row %d leaked through NOT", r.ObjID)
 		}
 	}
-	// The full grid agrees with the baseline on the NaN-bearing store.
+	// The full grid agrees with the reference on the NaN-bearing store.
 	for _, q := range []string{
 		"SELECT objid, r FROM tag WHERE r < 17",
 		"SELECT objid FROM tag WHERE NOT (r < 17)",
@@ -176,7 +163,7 @@ func TestZoneNaNColumns(t *testing.T) {
 		"SELECT COUNT(*) FROM tag WHERE r >= 14",
 	} {
 		a := mustCollect(t, e, q)
-		b := mustCollect(t, base, q)
+		b := refCollect(t, e, q)
 		canonical(a)
 		canonical(b)
 		if err := sameResultsExact(a, b); err != nil {
@@ -226,17 +213,8 @@ func TestFanoutZonePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// mjd is always positive in the generator: every candidate prunes.
-	if fo[0].ZonePruned != fo[0].ContainersTotal {
-		t.Errorf("mjd < 0 pruned %d of %d", fo[0].ZonePruned, fo[0].ContainersTotal)
-	}
-	// The unpruned reference restores the full scan.
-	ez := &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, noZone: true}
-	fo, err = ez.Fanout(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fo[0].ZonePruned != 0 || fo[0].ContainersScanned != fo[0].ContainersTotal {
-		t.Errorf("noZone fanout still prunes: %+v", fo[0])
+	if fo[0].ZonePruned != fo[0].ContainersTotal || fo[0].ContainersScanned != 0 {
+		t.Errorf("mjd < 0 pruned %d of %d, scans %d", fo[0].ZonePruned, fo[0].ContainersTotal, fo[0].ContainersScanned)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // The per-table column-block specs: one colblk column slot per AttrID, so a
 // slab column index IS the attribute ID. Derived attributes (tag RA/Dec,
-// spec position) hold KNone placeholders — they have no stored bytes, and
-// kernels route predicates on them through the row path.
+// spec position) hold KNone placeholders — they have no stored bytes, so
+// kernels leave predicates on them to the row predicate.
 //
 // Predictors encode the functional dependencies the catalog bakes into
 // records: the photo Cartesian triplet is exactly sphere.FromRADec(ra, dec)

@@ -28,7 +28,7 @@ import (
 func (s *Store) colBlkEnabled() bool { return s.opts.Columns != nil }
 
 // ColBlkEnabled reports whether this store maintains column blocks — the
-// planner consults it before labeling a scan's kernel path.
+// planner requires them of every store it scans.
 func (s *Store) ColBlkEnabled() bool { return s.colBlkEnabled() }
 
 // setSlab attaches (or detaches, sl == nil) a container's slab, keeping the
@@ -37,12 +37,12 @@ func (s *Store) ColBlkEnabled() bool { return s.colBlkEnabled() }
 // as during Open).
 func (s *Store) setSlab(c *Container, sl *colblk.Slab) {
 	if old := c.slab; old != nil {
-		s.colEncBytes -= int64(old.EncodedBytes())
-		s.colRawBytes -= int64(old.RawBytes())
+		s.slabEncBytes -= int64(old.EncodedBytes())
+		s.slabRawBytes -= int64(old.RawBytes())
 	}
 	if sl != nil {
-		s.colEncBytes += int64(sl.EncodedBytes())
-		s.colRawBytes += int64(sl.RawBytes())
+		s.slabEncBytes += int64(sl.EncodedBytes())
+		s.slabRawBytes += int64(sl.RawBytes())
 	}
 	c.slab = sl
 }
@@ -53,10 +53,10 @@ func (s *Store) ensureColBlk(c *Container) {
 	if !s.colBlkEnabled() || (c.slab != nil && c.slab.N == c.count) {
 		return
 	}
-	s.setSlab(c, s.opts.Columns.Encode(c.data, c.count, s.opts.RecordSize, s.colRaw))
+	s.setSlab(c, s.opts.Columns.Encode(c.data, c.count, s.opts.RecordSize, false))
 }
 
-// ColumnData snapshots one container for the kernel scan path: its raw
+// ColumnData snapshots one container for the query engine's scan: its raw
 // payload, record count, and fresh column slab (built on demand). The slab
 // is nil when column blocks are disabled or the container is absent; the
 // returned slices must be treated as read-only (appends and sorts replace,
@@ -68,11 +68,6 @@ func (s *Store) ColumnData(id htm.ID) (data []byte, count int, slab *colblk.Slab
 	if c == nil {
 		s.mu.RUnlock()
 		return nil, 0, nil
-	}
-	if !s.colBlkEnabled() {
-		data, count = c.data, c.count
-		s.mu.RUnlock()
-		return data, count, nil
 	}
 	if sl := c.slab; sl != nil && sl.N == c.count {
 		data, count, slab = c.data, c.count, sl
@@ -88,23 +83,6 @@ func (s *Store) ColumnData(id htm.ID) (data []byte, count int, slab *colblk.Slab
 	}
 	s.ensureColBlk(c)
 	return c.data, c.count, c.slab
-}
-
-// SetColBlkRaw switches the store between real encodings and forced-raw
-// slabs (every stored column EncRaw). The kernel path is identical either
-// way, which is exactly what the compression ablation needs: toggling this
-// isolates the codec's byte savings from the kernel's instruction savings.
-// Existing slabs are dropped so they rebuild under the new mode.
-func (s *Store) SetColBlkRaw(raw bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.colRaw == raw {
-		return
-	}
-	s.colRaw = raw
-	for _, c := range s.containers {
-		s.setSlab(c, nil)
-	}
 }
 
 // BuildColBlks ensures every container has a fresh slab (Flush calls it; it
@@ -153,13 +131,13 @@ func (s *Store) CheckColBlk(id htm.ID) error {
 // the raw footprint of the columns they cover — the compressed-versus-raw
 // ratio /v1/status, the load summary, and the planner's bytes-scanned cost
 // model consult. The totals are aggregates maintained as slabs attach and
-// detach (O(1) to read — planLeaf calls this on every kernel-scan
-// estimate); containers without slabs contribute to neither side, and a
-// slab gone stale after appends is counted until its rebuild replaces it.
+// detach (O(1) to read — planLeaf calls this on every scan estimate);
+// containers without slabs contribute to neither side, and a slab gone
+// stale after appends is counted until its rebuild replaces it.
 func (s *Store) ColBlkBytes() (encoded, raw int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.colEncBytes, s.colRawBytes
+	return s.slabEncBytes, s.slabRawBytes
 }
 
 // Column-block persistence: one COLBLK file per store directory, in the
@@ -262,13 +240,6 @@ func (s *Sharded) ColumnData(id htm.ID) (data []byte, count int, slab *colblk.Sl
 // ColBlkEnabled reports whether the slices maintain column blocks.
 func (s *Sharded) ColBlkEnabled() bool {
 	return len(s.shards) > 0 && s.shards[0].ColBlkEnabled()
-}
-
-// SetColBlkRaw switches every slice between real and forced-raw encodings.
-func (s *Sharded) SetColBlkRaw(raw bool) {
-	for _, sh := range s.shards {
-		sh.SetColBlkRaw(raw)
-	}
 }
 
 // BuildColBlks ensures every slice's slabs are fresh.

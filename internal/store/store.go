@@ -101,14 +101,11 @@ type Store struct {
 	orderOK    bool
 	touches    int64
 	records    int64
-	// colRaw forces raw column-block encodings (the compression-off arm of
-	// the kernel ablation).
-	colRaw bool
-	// colEncBytes/colRawBytes aggregate the encoded and raw footprints of
+	// slabEncBytes/slabRawBytes aggregate the encoded and raw footprints of
 	// every attached slab, maintained by setSlab so that ColBlkBytes is
-	// O(1) — the planner consults the ratio on every kernel-scan estimate.
-	colEncBytes int64
-	colRawBytes int64
+	// O(1) — the planner consults the ratio on every scan estimate.
+	slabEncBytes int64
+	slabRawBytes int64
 }
 
 // Open creates or opens a store. If opts.Dir is non-empty and contains
