@@ -14,8 +14,9 @@
 // skip the compiled row predicate entirely; otherwise the kernel is a
 // conservative prefilter (possibly with no ranges at all — a purely
 // spatial, arithmetic or flag-mask predicate selects every record) and the
-// row predicate re-checks survivors against the raw record. Either way only
-// survivors materialize into result batches, and constant, dictionary and
+// row predicate re-checks survivors through a query.ColumnGetter over the
+// same slab. The scan never reads raw records. Either way only survivors
+// materialize into result batches, and constant, dictionary and
 // frame-of-reference blocks whose key bounds cannot intersect a range
 // dismiss whole containers without unpacking a single code.
 package qe
@@ -66,16 +67,13 @@ type kernelPlan struct {
 	never bool
 	preds []kernelPred
 	outs  []outCol
-	// needRow is set when survivors still touch the raw record: a residual
-	// row predicate, or a derived output attribute.
-	needRow bool
 	// perRecBytes is the raw footprint of the columns the kernel references
 	// per record — the numerator of the planner's bytes-scanned estimate.
 	perRecBytes int
 }
 
 // outCol routes one output value: stored attributes materialize from
-// decoded keys, derived ones through the row accessor.
+// decoded keys, derived ones through the column getter.
 type outCol struct {
 	attr   query.AttrID
 	stored bool
@@ -140,7 +138,9 @@ func compileKernel(cs *query.CompiledSelect, sp *scanPlan) *kernelPlan {
 			}
 			c := spec.Col(int(a))
 			if c.Kind == colblk.KNone {
-				continue // derived attribute: the row predicate re-checks it
+				// Derived attribute: no stored keys to range-test; the row
+				// predicate re-checks it through the column getter.
+				continue
 			}
 			iv := cs.Bounds.ByAttr[a]
 			p := kernelPred{col: int(a), kind: c.Kind}
@@ -170,12 +170,6 @@ func compileKernel(cs *query.CompiledSelect, sp *scanPlan) *kernelPlan {
 	}
 	for _, a := range sp.hidden {
 		kp.outs = append(kp.outs, makeOutCol(spec, a))
-	}
-	kp.needRow = !kp.exact && cs.Pred != nil
-	for _, oc := range kp.outs {
-		if !oc.stored {
-			kp.needRow = true
-		}
 	}
 
 	ref := make([]bool, spec.NumCols())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,29 +17,45 @@ import (
 	"sdss/internal/store"
 )
 
-// kernelPropertyQueries covers every kernel shape: exact key-range kernels
-// (range, equality, dictionary), prefilter+residual (arithmetic, OR),
-// negation with NaN admission, and predicates over every column kind the
-// block layouts encode (f32 magnitudes, f64 ra/dec/mjd, u64 objid, int
-// run/camcol/flags, dictionary class).
-var kernelPropertyQueries = []string{
-	"SELECT objid, r FROM tag WHERE r < 18",
-	"SELECT objid, r FROM tag WHERE r >= 14 AND r <= 15",
-	"SELECT objid FROM tag WHERE NOT (r < 20)",
-	"SELECT objid FROM tag WHERE r < 15 OR r > 21",
-	"SELECT objid FROM tag WHERE class = 'GALAXY' AND r < 20",
-	"SELECT objid FROM tag WHERE class = 'QSO'",
-	"SELECT objid FROM tag WHERE class = 'UNKNOWN'", // dictionary miss in most containers
-	"SELECT objid FROM tag WHERE u - g > 1 AND r < 20",
-	"SELECT objid, r FROM tag WHERE r < 20 ORDER BY r LIMIT 50",
-	"SELECT COUNT(*) FROM tag WHERE r < 19",
-	"SELECT objid, r FROM photoobj WHERE r < 18",
-	"SELECT objid FROM photoobj WHERE run = 2 AND camcol = 3",
-	"SELECT objid, mjd FROM photoobj WHERE mjd > 51000",
-	"SELECT objid FROM photoobj WHERE flags = 0 AND r < 21",
-	"SELECT objid, ra, dec FROM photoobj WHERE dec > 30 AND dec < 40",
-	"SELECT objid FROM photoobj WHERE NOT (petrorad < 3)",
-	"SELECT objid FROM specobj WHERE redshift > 0.5 AND sn > 10",
+// kernelPropertyQueries returns the grid every kernel test runs. It covers
+// every kernel shape: exact key-range kernels (range, equality,
+// dictionary), prefilter+residual (arithmetic, OR), negation with NaN
+// admission, predicates over every column kind the block layouts encode
+// (f32 magnitudes, f64 ra/dec/mjd, u64 objid, int run/camcol/flags,
+// dictionary class), and derivedQueries centred on c, a loaded photo row.
+func kernelPropertyQueries(c *catalog.PhotoObj) []string {
+	return append([]string{
+		"SELECT objid, r FROM tag WHERE r < 18",
+		"SELECT objid, r FROM tag WHERE r >= 14 AND r <= 15",
+		"SELECT objid FROM tag WHERE NOT (r < 20)",
+		"SELECT objid FROM tag WHERE r < 15 OR r > 21",
+		"SELECT objid FROM tag WHERE class = 'GALAXY' AND r < 20",
+		"SELECT objid FROM tag WHERE class = 'QSO'",
+		"SELECT objid FROM tag WHERE class = 'UNKNOWN'", // dictionary miss in most containers
+		"SELECT objid FROM tag WHERE u - g > 1 AND r < 20",
+		"SELECT objid, r FROM tag WHERE r < 20 ORDER BY r LIMIT 50",
+		"SELECT COUNT(*) FROM tag WHERE r < 19",
+		"SELECT objid, r FROM photoobj WHERE r < 18",
+		"SELECT objid FROM photoobj WHERE run = 2 AND camcol = 3",
+		"SELECT objid, mjd FROM photoobj WHERE mjd > 51000",
+		"SELECT objid FROM photoobj WHERE flags = 0 AND r < 21",
+		"SELECT objid, ra, dec FROM photoobj WHERE dec > 30 AND dec < 40",
+		"SELECT objid FROM photoobj WHERE NOT (petrorad < 3)",
+		"SELECT objid FROM specobj WHERE redshift > 0.5 AND sn > 10",
+	}, derivedQueries(c)...)
+}
+
+// derivedQueries touch the derived attributes (tag ra/dec, the spec
+// trixel-center position) as outputs and in residual predicates, which the
+// scan reads through its column getter. Each must match rows, or its
+// comparison against the reference is vacuous.
+func derivedQueries(c *catalog.PhotoObj) []string {
+	return []string{
+		"SELECT objid, ra, dec FROM tag WHERE dec > 20 AND r < 20",
+		"SELECT objid, cx, cy, cz FROM specobj WHERE redshift > 0.5",
+		"SELECT objid FROM specobj WHERE cz > 0.5",
+		fmt.Sprintf("SELECT * FROM specobj WHERE CIRCLE(%v, %v, 300)", c.RA, c.Dec),
+	}
 }
 
 // TestKernelScanMatchesRowScan is the acceptance property: kernel-filtered
@@ -48,14 +65,19 @@ var kernelPropertyQueries = []string{
 func TestKernelScanMatchesRowScan(t *testing.T) {
 	for _, seed := range []int64{7, 23} {
 		for _, shards := range []int{1, 8} {
-			e := testShardArchive(t, 6000, seed, shards)
-			for _, q := range kernelPropertyQueries {
+			e, photo := shardedArchive(t, 6000, seed, shards)
+			c := &photo[len(photo)-1]
+			derived := derivedQueries(c)
+			for _, q := range kernelPropertyQueries(c) {
 				got := mustCollect(t, e, q)
 				want := refCollect(t, e, q)
 				canonical(got)
 				canonical(want)
 				if err := sameResultsExact(got, want); err != nil {
 					t.Errorf("seed %d shards %d %q: %v", seed, shards, q, err)
+				}
+				if len(want) == 0 && slices.Contains(derived, q) {
+					t.Errorf("seed %d shards %d %q: reference matched no rows", seed, shards, q)
 				}
 			}
 		}
@@ -106,9 +128,9 @@ func TestKernelNaNColumns(t *testing.T) {
 // stored column EncRaw) — and requires identical batches for every grid
 // shape: the kernels must be encoding-agnostic.
 func TestKernelForcedRawBlocks(t *testing.T) {
-	e := testShardArchive(t, 5000, 11, 2)
+	e, photo := shardedArchive(t, 5000, 11, 2)
 	rows := 0
-	for _, q := range kernelPropertyQueries {
+	for _, q := range kernelPropertyQueries(&photo[len(photo)-1]) {
 		prep, err := query.PrepareString(q)
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +148,8 @@ func TestKernelForcedRawBlocks(t *testing.T) {
 				if forced.EncodedBytes() > slab.EncodedBytes() {
 					compressed++
 				}
-				real := scanSlab(t, e, op, data, count, slab)
-				raw := scanSlab(t, e, op, data, count, forced)
+				real := scanSlab(t, e, op, count, slab)
+				raw := scanSlab(t, e, op, count, forced)
 				if err := sameBatches(real, raw); err != nil {
 					t.Fatalf("%q container %v: real vs forced-raw slab: %v", q, cid, err)
 				}
@@ -145,21 +167,18 @@ func TestKernelForcedRawBlocks(t *testing.T) {
 	}
 }
 
-// scanSlab runs one fresh scan worker of op over a container's records and
-// the given slab, returning the batches it emits.
-func scanSlab(t *testing.T, e *Engine, op *scanOp, data []byte, count int, slab *colblk.Slab) []Batch {
+// scanSlab runs one fresh scan worker of op over a container's slab,
+// returning the batches it emits.
+func scanSlab(t *testing.T, e *Engine, op *scanOp, count int, slab *colblk.Slab) []Batch {
 	t.Helper()
-	w, err := newScanWorker(e, op, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newScanWorker(e, op, false)
 	var out []Batch
 	w.emit = func(b Batch) bool {
 		out = append(out, b)
 		return true
 	}
-	if _, ok := w.scanKernel(data, count, slab); !ok {
-		t.Fatal(w.err)
+	if _, ok := w.scanKernel(count, slab); !ok {
+		t.Fatal("scan worker refused to continue")
 	}
 	w.flush()
 	return out
@@ -227,7 +246,7 @@ func TestKernelLegacyArchiveRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Photo: re.Photo, Tag: re.Tag, Spec: re.Spec}
-	for _, q := range kernelPropertyQueries {
+	for _, q := range kernelPropertyQueries(&photo[len(photo)-1]) {
 		got := mustCollect(t, e, q)
 		want := refCollect(t, e, q)
 		canonical(got)

@@ -364,11 +364,7 @@ func (j *scanJob) getWorker() *scanWorker {
 		return w
 	}
 	j.wmu.Unlock()
-	w, err := newScanWorker(j.e, j.op, j.mode == scanFold)
-	if err != nil {
-		j.rows.setErr(err)
-		return nil
-	}
+	w := newScanWorker(j.e, j.op, j.mode == scanFold)
 	j.wmu.Lock()
 	j.all = append(j.all, w)
 	j.wmu.Unlock()
@@ -409,14 +405,6 @@ func (j *scanJob) emitTo(out chan Batch) func(Batch) bool {
 	}
 }
 
-func (j *scanJob) fail(err error) {
-	if err == context.Canceled {
-		j.rows.interrupted.Store(true)
-	} else {
-		j.rows.setErr(err)
-	}
-}
-
 // runUnit executes one morsel: check out a pooled worker, wire its emit for
 // the job's mode, and scan the container run, reading each container from
 // its owning slice.
@@ -426,9 +414,6 @@ func (j *scanJob) runUnit(u unit) {
 		return
 	}
 	w := j.getWorker()
-	if w == nil {
-		return // accessor failure, already reported
-	}
 	defer j.putWorker(w)
 	st := j.op.stats
 
@@ -448,15 +433,12 @@ func (j *scanJob) runUnit(u unit) {
 				}
 				return true
 			}
-			examined, ok := w.scanKernel(j.op.st.ColumnData(cid))
+			_, count, slab := j.op.st.ColumnData(cid)
+			examined, _ := w.scanKernel(count, slab) // the fold emit never refuses
 			if st != nil {
 				st.rowsIn.Add(int64(examined))
 			}
-			if !ok {
-				j.fail(w.err)
-				return
-			}
-			w.flush() // folds the remainder; this emit cannot refuse
+			w.flush() // folds the remainder
 			j.foldMu.Lock()
 			j.folds = append(j.folds, contFold{cid: cid, p: p})
 			j.foldMu.Unlock()
@@ -470,12 +452,13 @@ func (j *scanJob) runUnit(u unit) {
 			j.rows.interrupted.Store(true)
 			return
 		}
-		examined, ok := w.scanKernel(j.op.st.ColumnData(cid))
+		_, count, slab := j.op.st.ColumnData(cid)
+		examined, ok := w.scanKernel(count, slab)
 		if st != nil {
 			st.rowsIn.Add(int64(examined))
 		}
 		if !ok {
-			j.fail(w.err)
+			j.rows.interrupted.Store(true)
 			return
 		}
 	}

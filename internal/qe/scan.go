@@ -1,30 +1,27 @@
 package qe
 
 import (
-	"context"
-
 	"sdss/internal/catalog"
 	"sdss/internal/colblk"
 	"sdss/internal/htm"
 	"sdss/internal/query"
 )
 
-// scanWorker is one scan goroutine's working state: the selective row
-// reader, the column reader with its selection scratch, and the current
-// output batch with the value array its rows are carved from.
+// scanWorker is one scan goroutine's working state: the column reader
+// with its selection scratch and per-record getter, and the current output
+// batch with the value array its rows are carved from.
 type scanWorker struct {
 	cs       *query.CompiledSelect
 	sp       *scanPlan
-	recSize  int // encoded record width of the scanned table
 	rangeSet *htm.RangeSet
 	stats    *opStats
 
-	rr     *query.RowReader
-	getter query.Getter // rr.Get, bound once for the compiled predicate
-
 	// Column scratch, reused across containers: the column reader's
-	// decode buffers, the selection vector, and the per-output key slices.
+	// decode buffers, the getter over its current record, the selection
+	// vector, and the per-output key slices.
 	reader  *colblk.Reader
+	cols    *query.ColumnGetter
+	getter  query.Getter // cols.Get, bound once for the compiled predicate
 	sel     []int32
 	outKeys [][]uint64
 
@@ -37,7 +34,6 @@ type scanWorker struct {
 	// aggregate fold): nothing else ever sees the batch, so flush refills
 	// the same batch and value array instead of allocating new ones.
 	reuse bool
-	err   error
 }
 
 // initialFlushAt is the first-batch size of the emit ramp: the first batch
@@ -78,16 +74,16 @@ func (w *scanWorker) fresh() {
 }
 
 // scanKernel is the one per-container scan, run over the container's
-// column slab (store.ColumnData's snapshot): block-level probes first (a
-// constant or dictionary block whose keys cannot match dismisses the
-// container without unpacking a code), then the branch-free range filters
-// and the coverage test on the decoded HTM column build a selection
-// vector, and only survivors materialize — from keys for stored
-// attributes, through the row reader for derived ones and any residual
-// predicate. It returns the number of records examined and whether the
-// worker should continue; on false, w.err carries the failure
-// (context.Canceled for an interrupted emit).
-func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int, bool) {
+// column slab (store.ColumnData's snapshot; the scan never reads the raw
+// records): block-level probes first (a constant or dictionary block whose
+// keys cannot match dismisses the container without unpacking a code),
+// then the branch-free range filters and the coverage test on the decoded
+// HTM column build a selection vector, and only survivors materialize —
+// from keys for stored attributes, through the column getter for derived
+// ones and any residual predicate. It returns the number of records
+// examined and whether the worker should continue: false means an emit
+// was refused because the stream was cut off.
+func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 	kp := w.sp.kernel
 	if count == 0 {
 		return 0, true
@@ -152,14 +148,9 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 	w.outKeys = outKeys
 	for _, si := range sel[:n] {
 		i := int(si)
-		if kp.needRow {
-			if err := w.rr.Reset(data[i*w.recSize : (i+1)*w.recSize]); err != nil {
-				w.err = err
-				return count, false
-			}
-			if !kp.exact && w.cs.Pred != nil && !w.cs.Pred(w.getter) {
-				continue
-			}
+		w.cols.Seek(i)
+		if !kp.exact && w.cs.Pred != nil && !w.cs.Pred(w.getter) {
+			continue
 		}
 		res := Result{ObjID: catalog.ObjID(objKeys[i]), Key: htm.ID(htmKeys[i])}
 		if w.sp.width > 0 {
@@ -175,29 +166,26 @@ func (w *scanWorker) scanKernel(data []byte, count int, slab *colblk.Slab) (int,
 		}
 		w.batch = append(w.batch, res)
 		if len(w.batch) >= w.flushAt && !w.flush() {
-			w.err = context.Canceled
 			return count, false
 		}
 	}
 	return count, true
 }
 
-// newScanWorker builds one scan worker for a leaf scan job: the row reader,
-// the column reader, and the first batch. Values of all a batch's results
+// newScanWorker builds one scan worker for a leaf scan job: the column
+// reader, its getter, and the first batch. Values of all a batch's results
 // are carved out of one backing array sized for a full batch, so the
 // per-record path allocates nothing. The worker's emit is bound per morsel
 // by the scheduler; reuse is set by a job whose emit is the aggregate fold.
-func newScanWorker(e *Engine, o *scanOp, reuse bool) (*scanWorker, error) {
-	rr, err := query.NewRowReader(o.cs.Table)
-	if err != nil {
-		return nil, err
-	}
+func newScanWorker(e *Engine, o *scanOp, reuse bool) *scanWorker {
 	bs := e.batchSize()
+	reader := colblk.NewReader()
+	cols := query.NewColumnGetter(o.cs.Table, reader)
 	w := &scanWorker{
-		cs: o.cs, sp: o.plan, recSize: o.st.Options().RecordSize, rangeSet: o.rangeSet, stats: o.stats,
-		rr: rr, getter: rr.Get, reader: colblk.NewReader(),
+		cs: o.cs, sp: o.plan, rangeSet: o.rangeSet, stats: o.stats,
+		reader: reader, cols: cols, getter: cols.Get,
 		bs: bs, flushAt: min(initialFlushAt, bs), reuse: reuse,
 	}
 	w.fresh()
-	return w, nil
+	return w
 }

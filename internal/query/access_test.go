@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdss/internal/catalog"
+	"sdss/internal/colblk"
 	"sdss/internal/htm"
 	"sdss/internal/sphere"
 )
@@ -254,5 +255,64 @@ func TestRowReaderMatchesStructCodecs(t *testing.T) {
 	}
 	if !big || !nanRA {
 		t.Fatalf("fixture lacks edge cases: objid>2^53 %v, NaN ra %v", big, nanRA)
+	}
+}
+
+// TestColumnGetterMatchesRowReader is the oracle for the scan's accessor:
+// over slabs encoded from the fixture's records, both as the encoder
+// chooses and forced raw, ColumnGetter.Get is bit-identical to
+// RowReader.Get on every attribute of every record of photo, tag and spec
+// — NaN fields, object ids above 2⁵³ and the derived attributes included.
+func TestColumnGetterMatchesRowReader(t *testing.T) {
+	fx := newAccessFixture(t)
+	// A second spectrum off the trixel grid, nonzero this time (below the
+	// root trixels), so its derived position is NaN too.
+	const badTrixel = 5
+	if _, err := htm.Center(badTrixel); err == nil {
+		t.Fatalf("htmid %d is a valid trixel", badTrixel)
+	}
+	fx.spec = append(fx.spec, catalog.SpecObj{ObjID: 1<<60 + 1, HTMID: badTrixel, Redshift: 0.25})
+
+	var photo, tag, spec []byte
+	for i := range fx.photo {
+		photo = fx.photo[i].AppendTo(photo)
+		tag = fx.tag[i].AppendTo(tag)
+	}
+	for i := range fx.spec {
+		spec = fx.spec[i].AppendTo(spec)
+	}
+	checkColumnGetter(t, TablePhoto, photo)
+	checkColumnGetter(t, TableTag, tag)
+	checkColumnGetter(t, TableSpec, spec)
+}
+
+// checkColumnGetter compares ColumnGetter over data's slab against
+// RowReader over data's records, attribute by attribute.
+func checkColumnGetter(t *testing.T, table Table, data []byte) {
+	t.Helper()
+	rr, err := NewRowReader(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := RecordSize(table)
+	n := len(data) / size
+	for _, raw := range []bool{false, true} {
+		cols := colblk.NewReader()
+		cols.Reset(ColumnSpecs(table).Encode(data, n, size, raw))
+		g := NewColumnGetter(table, cols)
+		for i := 0; i < n; i++ {
+			g.Seek(i)
+			if err := rr.Reset(data[i*size : (i+1)*size]); err != nil {
+				t.Fatal(err)
+			}
+			for id := AttrID(0); int(id) < NumAttrs(table); id++ {
+				got, want := g.Get(id), rr.Get(id)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s raw=%v row %d %s: ColumnGetter %v (%#x), RowReader %v (%#x)",
+						table, raw, i, AttrName(table, id),
+						got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
 	}
 }

@@ -56,12 +56,14 @@ func (s *Store) ensureColBlk(c *Container) {
 	s.setSlab(c, s.opts.Columns.Encode(c.data, c.count, s.opts.RecordSize, false))
 }
 
-// ColumnData snapshots one container for the query engine's scan: its raw
-// payload, record count, and fresh column slab (built on demand). The slab
-// is nil when column blocks are disabled or the container is absent; the
-// returned slices must be treated as read-only (appends and sorts replace,
-// never mutate, container buffers — the same contract ForEachInContainer
-// relies on).
+// ColumnData snapshots one container: its raw payload, record count, and
+// fresh column slab (built on demand). The query engine's scan reads only
+// the count and slab; the raw payload is for callers that check or time
+// the slab against the records (CheckColBlk, the benchmark's probes). The
+// slab is nil when column blocks are disabled or the container is absent;
+// the returned slices must be treated as read-only (appends and sorts
+// replace, never mutate, container buffers — the same contract
+// ForEachInContainer relies on).
 func (s *Store) ColumnData(id htm.ID) (data []byte, count int, slab *colblk.Slab) {
 	s.mu.RLock()
 	c := s.containers[id]
