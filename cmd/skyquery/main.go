@@ -37,11 +37,16 @@ func main() {
 		timing  = flag.Bool("t", false, "print timing summary to stderr")
 		workers = flag.Int("workers", 0, "morsel pool size (0 = GOMAXPROCS)")
 		format  = flag.String("format", "tsv", "output format: tsv, csv, or ndjson")
-		explain = flag.Bool("explain", false, "print the logical and physical plans (with zone-map fanout) instead of executing")
+		explain = flag.Bool("explain", false, "print the physical plan (access paths, estimates, zone bounds, containers read per shard) instead of executing")
 		analyze = flag.Bool("analyze", false, "with -explain: execute the query and report actual rows and timing per operator")
 		timeout = flag.Duration("timeout", 0, "abort the query after this duration (0 = none)")
 	)
 	flag.Parse()
+	if *analyze && !*explain {
+		fmt.Fprintln(os.Stderr, "skyquery: -analyze requires -explain")
+		flag.Usage()
+		os.Exit(2)
+	}
 	q := strings.TrimSpace(strings.Join(flag.Args(), " "))
 	if q == "" {
 		log.Fatal(`no query given; usage: skyquery -archive DIR "SELECT ..."`)
@@ -57,8 +62,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("logical plan:")
-		fmt.Print(prep.Explain())
 		plan, err := a.Engine().PlanAnalyze(prep, *analyze)
 		if err != nil {
 			log.Fatal(err)
@@ -84,15 +87,6 @@ func main() {
 			fmt.Println("physical plan:")
 		}
 		fmt.Print(plan.Text())
-		// Per-shard scatter + zone pruning: what the scan will actually
-		// read versus what the zone maps proved empty.
-		fanout, err := a.Engine().Fanout(prep)
-		if err == nil {
-			for _, fo := range fanout {
-				fmt.Printf("scan %s: %d candidate containers, %d zone-pruned, %d scanned (per shard: %v)\n",
-					fo.Table, fo.ContainersTotal, fo.ZonePruned, fo.ContainersScanned, fo.ContainersPerShard)
-			}
-		}
 		return
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"sdss/internal/load"
@@ -63,35 +64,35 @@ func TestV1StatusReportsShards(t *testing.T) {
 	}
 }
 
+// TestV1ExplainReportsFanout: on a 4-shard archive the scan node reports
+// the containers it reads on each shard, summing to what survives pruning.
 func TestV1ExplainReportsFanout(t *testing.T) {
 	_, srv := newShardedServer(t, 4)
 	code, body := get(t, srv, "/v1/explain?q="+url.QueryEscape("SELECT objid FROM tag WHERE r < 21"))
 	if code != 200 {
 		t.Fatalf("explain = %d: %s", code, body)
 	}
-	var doc struct {
-		Shards int              `json:"shards"`
-		Fanout []qe.ShardFanout `json:"fanout"`
-	}
+	var doc explainResp
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Shards != 4 {
 		t.Errorf("shards = %d, want 4", doc.Shards)
 	}
-	if len(doc.Fanout) != 1 {
-		t.Fatalf("fanout entries = %d, want 1", len(doc.Fanout))
-	}
-	fo := doc.Fanout[0]
-	if fo.Table != "tag" || len(fo.ContainersPerShard) != 4 {
-		t.Fatalf("fanout = %+v", fo)
+	scan := doc.Physical
+	if scan == nil || scan.Op != "scan" || scan.Table != "tag" || len(scan.ContainersPerShard) != 4 {
+		t.Fatalf("physical = %+v", scan)
 	}
 	total := 0
-	for _, c := range fo.ContainersPerShard {
+	for _, c := range scan.ContainersPerShard {
 		total += c
 	}
-	if total != fo.ContainersTotal || total == 0 {
-		t.Fatalf("fanout totals inconsistent: %+v", fo)
+	if total != scan.Containers-scan.ZonePruned || total == 0 {
+		t.Fatalf("per-shard counts %v inconsistent with containers %d - zone_pruned %d",
+			scan.ContainersPerShard, scan.Containers, scan.ZonePruned)
+	}
+	if !strings.Contains(doc.Phystext, "per_shard=") {
+		t.Errorf("physical_text lacks the per-shard counts:\n%s", doc.Phystext)
 	}
 }
 

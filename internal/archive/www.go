@@ -292,12 +292,12 @@ func (w *WWW) handleCone(rw http.ResponseWriter, req *http.Request) {
 	w.serveQuery(rw, req, src, format, opts)
 }
 
-// handleExplain compiles ?q= and returns both plans: the logical QET
-// (parse/analyze/pushdown output) and the physical operator tree with the
-// optimizer's chosen access paths and cost estimates. With ?analyze=1 the
-// query also executes — under the interactive time cap, rows discarded —
-// and every physical operator reports actual rows-in/rows-out/elapsed next
-// to its estimates.
+// handleExplain compiles ?q= and returns the physical operator tree the
+// query runs as: each operator's chosen access path and cost estimates, and
+// for each scan its zone bounds and the containers it reads on every shard
+// slice. With ?analyze=1 the query also executes — under the interactive
+// time cap, rows discarded — and every operator reports actual
+// rows-in/rows-out/elapsed next to its estimates.
 func (w *WWW) handleExplain(rw http.ResponseWriter, req *http.Request) {
 	src := req.URL.Query().Get("q")
 	if src == "" {
@@ -340,26 +340,18 @@ func (w *WWW) handleExplain(rw http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	// Per-shard fan-out: how many candidate containers each leaf scan will
-	// touch on every slice. A fanout error (table not loaded) leaves the
-	// plan usable, so it is reported as an empty list, not a failure.
-	fanout, _ := w.Engine.Fanout(prep)
 	resp := struct {
-		Query    string           `json:"query"`
-		Columns  []query.Column   `json:"columns"`
-		Plan     *query.PlanNode  `json:"plan"`
-		Physical *qe.OpNode       `json:"physical"`
-		Analyzed bool             `json:"analyzed,omitempty"`
-		Rows     *int64           `json:"rows,omitempty"`
-		Shards   int              `json:"shards"`
-		Fanout   []qe.ShardFanout `json:"fanout,omitempty"`
-		Text     string           `json:"text"`
-		Phystext string           `json:"physical_text"`
+		Query    string         `json:"query"`
+		Columns  []query.Column `json:"columns"`
+		Physical *qe.OpNode     `json:"physical"`
+		Analyzed bool           `json:"analyzed,omitempty"`
+		Rows     *int64         `json:"rows,omitempty"`
+		Shards   int            `json:"shards"`
+		Phystext string         `json:"physical_text"`
 	}{
-		Query: src, Columns: prep.Columns(), Plan: prep.Plan(),
+		Query: src, Columns: plan.Columns(),
 		Physical: plan.Describe(), Analyzed: analyze,
-		Shards: w.Engine.NumShards(), Fanout: fanout,
-		Text: prep.Explain(), Phystext: plan.Text(),
+		Shards: w.Engine.NumShards(), Phystext: plan.Text(),
 	}
 	if analyze {
 		resp.Rows = &rowCount

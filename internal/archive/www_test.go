@@ -423,35 +423,38 @@ func TestV1Explain(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status = %d: %s", code, body)
 	}
-	var out struct {
-		Columns []struct {
-			Name string `json:"name"`
-		} `json:"columns"`
-		Plan struct {
-			Kind    string `json:"kind"`
-			Table   string `json:"table"`
-			Indexed bool   `json:"indexed"`
-			Limit   int    `json:"limit"`
-		} `json:"plan"`
-		Text string `json:"text"`
-	}
+	var out explainResp
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Plan.Kind != "scan" || out.Plan.Table != "tag" {
-		t.Errorf("plan = %+v", out.Plan)
+	// The physical tree is the only plan: the logical tree, its text and
+	// the separate fan-out report are gone.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
 	}
-	if !out.Plan.Indexed {
-		t.Error("CIRCLE query plan not marked as htm-indexed")
+	for _, k := range []string{"plan", "text", "fanout"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("explain response carries removed key %q", k)
+		}
 	}
-	if out.Plan.Limit != 5 {
-		t.Errorf("plan limit = %d", out.Plan.Limit)
+	limit := out.Physical
+	if limit == nil || limit.Op != "limit" || limit.Limit != 5 || len(limit.Children) != 1 ||
+		len(limit.Children[0].Children) != 1 {
+		t.Fatalf("physical root = %+v, want limit 5 over sort over scan", limit)
+	}
+	scan := limit.Children[0].Children[0]
+	if scan.Op != "scan" || scan.Table != "tag" {
+		t.Errorf("leaf = %+v", scan)
+	}
+	if !strings.HasPrefix(scan.Access, "htm-index") {
+		t.Errorf("CIRCLE query scan access = %q, want the htm index", scan.Access)
 	}
 	if len(out.Columns) != 2 || out.Columns[0].Name != "objid" {
 		t.Errorf("explain columns = %v", out.Columns)
 	}
-	if !strings.Contains(out.Text, "SCAN tag") || !strings.Contains(out.Text, "htm-index") {
-		t.Errorf("explain text = %q", out.Text)
+	if !strings.Contains(out.Phystext, "SCAN tag VIA htm-index") {
+		t.Errorf("physical_text = %q", out.Phystext)
 	}
 
 	// A set operation explains as a two-child tree.
@@ -460,17 +463,12 @@ func TestV1Explain(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status = %d: %s", code, body)
 	}
-	var u struct {
-		Plan struct {
-			Kind     string `json:"kind"`
-			Children []any  `json:"children"`
-		} `json:"plan"`
-	}
+	var u explainResp
 	if err := json.Unmarshal(body, &u); err != nil {
 		t.Fatal(err)
 	}
-	if u.Plan.Kind != "union" || len(u.Plan.Children) != 2 {
-		t.Errorf("union plan = %+v", u.Plan)
+	if u.Physical == nil || u.Physical.Op != "union" || len(u.Physical.Children) != 2 {
+		t.Errorf("union plan = %+v", u.Physical)
 	}
 
 	if code, _ := get(t, srv, "/v1/explain?q=garbage"); code != 400 {

@@ -30,60 +30,61 @@ func TestV1StatusReportsZoneBytes(t *testing.T) {
 	}
 }
 
-// TestV1ExplainReportsZonePruning: explain carries the predicate bounds in
-// the plan and the zone-pruned / scanned container split in the fanout.
+// TestV1ExplainReportsZonePruning: the scan node carries the predicate's
+// zone bounds, and its containers_per_shard counts only what survives zone
+// pruning.
 func TestV1ExplainReportsZonePruning(t *testing.T) {
 	_, srv := newTestServer(t)
-
-	// An always-false predicate must show every candidate pruned.
-	q := "SELECT objid FROM tag WHERE r < 18 AND r > 21"
-	code, body := get(t, srv, "/v1/explain?q="+url.QueryEscape(q))
-	if code != 200 {
-		t.Fatalf("status = %d: %s", code, body)
+	explain := func(q string) *explainResp {
+		t.Helper()
+		code, body := get(t, srv, "/v1/explain?q="+url.QueryEscape(q))
+		if code != 200 {
+			t.Fatalf("status = %d: %s", code, body)
+		}
+		var out explainResp
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Physical == nil || out.Physical.Op != "scan" {
+			t.Fatalf("physical = %+v", out.Physical)
+		}
+		return &out
 	}
-	var out struct {
-		Plan struct {
-			Bounds []string `json:"bounds"`
-		} `json:"plan"`
-		Fanout []struct {
-			ContainersTotal   int `json:"containers_total"`
-			ZonePruned        int `json:"zone_pruned"`
-			ContainersScanned int `json:"containers_scanned"`
-		} `json:"fanout"`
-		Text string `json:"text"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Plan.Bounds) == 0 {
-		t.Fatal("plan has no bounds")
-	}
-	if len(out.Fanout) != 1 {
-		t.Fatalf("fanout entries = %d", len(out.Fanout))
-	}
-	fo := out.Fanout[0]
-	if fo.ContainersTotal == 0 || fo.ZonePruned != fo.ContainersTotal || fo.ContainersScanned != 0 {
-		t.Errorf("always-false fanout = %+v, want all candidates pruned", fo)
+	sum := func(counts []int) int {
+		n := 0
+		for _, c := range counts {
+			n += c
+		}
+		return n
 	}
 
-	// A satisfiable cut reports bounds and a consistent scanned/pruned
-	// split.
-	q = "SELECT objid, r FROM tag WHERE r < 18"
-	code, body = get(t, srv, "/v1/explain?q="+url.QueryEscape(q))
-	if code != 200 {
-		t.Fatalf("status = %d: %s", code, body)
+	// An always-false predicate plans as empty and reads nothing.
+	out := explain("SELECT objid FROM tag WHERE r < 18 AND r > 21")
+	scan := out.Physical
+	if len(scan.Bounds) != 1 || !strings.HasPrefix(scan.Bounds[0], "never") {
+		t.Errorf("always-false bounds = %q", scan.Bounds)
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	if scan.Access != "empty" || len(scan.ContainersPerShard) != out.Shards || sum(scan.ContainersPerShard) != 0 {
+		t.Errorf("always-false scan: access %q, per shard %v; want empty, none read", scan.Access, scan.ContainersPerShard)
 	}
-	if len(out.Plan.Bounds) != 1 || !strings.Contains(out.Plan.Bounds[0], "r ∈") {
-		t.Errorf("bounds = %v", out.Plan.Bounds)
+
+	// mjd is always positive in the generator: the zone maps prune every
+	// candidate container.
+	scan = explain("SELECT objid FROM photoobj WHERE mjd < 0").Physical
+	if scan.Containers == 0 || scan.ZonePruned != scan.Containers || sum(scan.ContainersPerShard) != 0 {
+		t.Errorf("mjd < 0: pruned %d of %d, reads %v per shard", scan.ZonePruned, scan.Containers, scan.ContainersPerShard)
 	}
-	fo = out.Fanout[0]
-	if fo.ZonePruned+fo.ContainersScanned != fo.ContainersTotal {
-		t.Errorf("pruned %d + scanned %d != total %d", fo.ZonePruned, fo.ContainersScanned, fo.ContainersTotal)
+
+	// A satisfiable cut reports bounds and a consistent read/pruned split.
+	out = explain("SELECT objid, r FROM tag WHERE r < 18")
+	scan = out.Physical
+	if len(scan.Bounds) != 1 || !strings.Contains(scan.Bounds[0], "r ∈") {
+		t.Errorf("bounds = %v", scan.Bounds)
 	}
-	if !strings.Contains(out.Text, "ZONES [") {
-		t.Errorf("explain text lacks zone bounds: %q", out.Text)
+	if read := sum(scan.ContainersPerShard); read+scan.ZonePruned != scan.Containers {
+		t.Errorf("read %d + pruned %d != containers %d", read, scan.ZonePruned, scan.Containers)
+	}
+	if !strings.Contains(out.Phystext, "ZONES [") {
+		t.Errorf("physical_text lacks zone bounds: %q", out.Phystext)
 	}
 }

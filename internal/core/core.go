@@ -159,16 +159,6 @@ func (a *Archive) ExecuteOpts(ctx context.Context, prep *query.Prepared, opts Qu
 	})
 }
 
-// Explain compiles query text and returns its logical plan: the analyzed
-// QET with predicates pushed below joins.
-func (a *Archive) Explain(src string) (*query.PlanNode, error) {
-	prep, err := query.PrepareString(src)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Plan(), nil
-}
-
 // PlanQuery compiles query text through the cost-based physical planner:
 // the operator tree with chosen access paths (HTM coverage versus
 // zone-pruned versus full scan), hash-join build sides, and cardinality

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -272,15 +273,18 @@ func TestQueryRowsTypedSurface(t *testing.T) {
 
 func TestExplainPlan(t *testing.T) {
 	a, _ := testArchive(t, 100, 13)
-	plan, err := a.Explain("SELECT objid FROM tag WHERE CIRCLE(10, 10, 5)")
+	plan, err := a.PlanQuery("SELECT objid FROM tag WHERE CIRCLE(10, 10, 5)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Kind != "scan" || !plan.Indexed {
-		t.Fatalf("plan = %+v", plan)
+	if n := plan.Describe(); n.Op != "scan" || !strings.HasPrefix(n.Access, "htm-index") {
+		t.Fatalf("plan = %+v", n)
 	}
-	if _, err := a.Explain("garbage"); err == nil {
-		t.Error("Explain accepted garbage")
+	if !strings.HasPrefix(plan.Text(), "SCAN tag VIA htm-index") {
+		t.Errorf("plan text = %q", plan.Text())
+	}
+	if _, err := a.PlanQuery("garbage"); err == nil {
+		t.Error("PlanQuery accepted garbage")
 	}
 }
 

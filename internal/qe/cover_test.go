@@ -127,7 +127,7 @@ func TestPlannedCoverClassifiesFewerTrixels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := e.coverage(prep.Select, e.Photo)
+	planned, err := region.Cover(prep.Select.Region, e.coverDepthFor(e.Photo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestPlannedCoverClassifiesFewerTrixels(t *testing.T) {
 	}
 }
 
-// TestFanoutMatchesPlannedScan is the EXPLAIN regression: Fanout counts
-// candidates from the same cover the planned scan uses, so below the index
-// crossover its total equals the scan's container count, on one shard and
-// on four. Depth 2, coarser than the containers, is where a fanout that
-// covered at any other depth would count fewer.
+// TestFanoutMatchesPlannedScan is the EXPLAIN regression: below the index
+// crossover the scan reports the containers that overlap the cover at its
+// reported depth, and its per-shard counts sum to what it reads, on one
+// shard and on four. Depth 2, coarser than the containers, is where a count
+// taken from a cover at any other depth would differ.
 func TestFanoutMatchesPlannedScan(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		e, photo := coverArchive(t, 6000, 7, 4, shards)
@@ -171,26 +171,26 @@ func TestFanoutMatchesPlannedScan(t *testing.T) {
 			ed := &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, CoverDepth: depth}
 			for _, radius := range []float64{5, 30, 120} {
 				q := fmt.Sprintf("SELECT objid FROM tag WHERE CIRCLE(%v, %v, %v)", c.RA, c.Dec, radius)
-				prep, err := query.PrepareString(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plan, err := ed.Plan(prep)
-				if err != nil {
-					t.Fatal(err)
-				}
+				plan := mustPlan(t, ed, q)
 				scan := plan.Describe()
 				if scan.Access != "htm-index" {
 					t.Fatalf("shards=%d CoverDepth=%d %q: access %q, want htm-index (below the crossover)",
 						shards, depth, q, scan.Access)
 				}
-				fo, err := ed.Fanout(prep)
+				cov, err := region.Cover(plan.root.(*scanOp).cs.Region, scan.CoverDepth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(fo) != 1 || fo[0].ContainersTotal != scan.Containers {
-					t.Errorf("shards=%d CoverDepth=%d %q: fanout %+v, planned scan reads %d containers",
-						shards, depth, q, fo, scan.Containers)
+				rs := cov.RangeSet()
+				overlapping := 0
+				for _, cid := range ed.Tag.Containers() {
+					if rs.OverlapsTrixel(cid) {
+						overlapping++
+					}
+				}
+				if scan.Containers != overlapping || sum(scan.ContainersPerShard) != scan.Containers {
+					t.Errorf("shards=%d CoverDepth=%d %q: scan reports %d containers (per shard %v), cover at depth %d overlaps %d",
+						shards, depth, q, scan.Containers, scan.ContainersPerShard, scan.CoverDepth, overlapping)
 				}
 			}
 		}

@@ -110,7 +110,7 @@ func (e *Engine) planJoin(cj *query.CompiledJoin, analyze bool) (Operator, error
 		op = j
 	}
 
-	est := op.describe().EstRows
+	est := op.node().EstRows
 	switch {
 	case cj.Agg != query.AggNone:
 		op = e.newAggOp(cj.Agg, op, est, analyze)

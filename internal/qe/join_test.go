@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"sdss/internal/catalog"
@@ -720,5 +721,43 @@ func TestPlanAccessPaths(t *testing.T) {
 	wide := planOf("SELECT objid FROM photoobj WHERE CIRCLE(180, 0, 10000)")
 	if wide.Access == "htm-index" {
 		t.Errorf("whole-sky cone kept the index path (access %q)", wide.Access)
+	}
+}
+
+// TestJoinPlanShape: an equi-join with ORDER BY/LIMIT plans as
+// limit → sort → hash-join over a photoobj and a specobj scan, with the
+// WHERE clause pushed down to the photoobj side; NEIGHBORS plans as a
+// neighbor-join carrying its radius.
+func TestJoinPlanShape(t *testing.T) {
+	e, _, _ := joinArchive(t, 3000, 13, 1)
+	plan := mustPlan(t, e, "SELECT p.objid, s.z FROM photo p JOIN spec s ON p.objid = s.objid WHERE p.r < 18 ORDER BY s.z LIMIT 10")
+	limit := plan.Describe()
+	if limit.Op != "limit" || limit.Limit != 10 {
+		t.Fatalf("root = %+v, want limit 10", limit)
+	}
+	sortNode := limit.Children[0]
+	if sortNode.Op != "sort" || sortNode.OrderBy != "s.z" {
+		t.Fatalf("sort = %+v, want BY s.z", sortNode)
+	}
+	j := sortNode.Children[0]
+	if j.Op != "hash-join" || len(j.Children) != 2 {
+		t.Fatalf("join = %+v", j)
+	}
+	if j.On != "p.objid = s.objid" {
+		t.Errorf("on = %q", j.On)
+	}
+	if j.Children[0].Table != "photoobj" || j.Children[1].Table != "specobj" {
+		t.Errorf("children tables: %q, %q", j.Children[0].Table, j.Children[1].Table)
+	}
+	if !strings.Contains(j.Children[0].Filter, "p.r") || len(j.Children[0].Bounds) == 0 {
+		t.Errorf("left filter = %q, bounds %q (pushdown not visible)", j.Children[0].Filter, j.Children[0].Bounds)
+	}
+	if text := plan.Text(); !strings.Contains(text, "HASH-JOIN") || !strings.Contains(text, "SCAN photoobj") {
+		t.Errorf("explain text:\n%s", text)
+	}
+
+	n := mustPlan(t, e, "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 2) WHERE a.objid < b.objid").Describe()
+	if n.Op != "neighbor-join" || n.RadiusArcmin != 2 || len(n.Children) != 2 {
+		t.Fatalf("neighbors plan = %+v", n)
 	}
 }

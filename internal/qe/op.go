@@ -75,10 +75,16 @@ type OpNode struct {
 	Limit          int    `json:"limit,omitempty"`
 	// Shards is a scan's scatter width; Containers its candidate container
 	// count after coverage pruning, ZonePruned how many of those the zone
-	// maps excluded.
-	Shards     int `json:"shards,omitempty"`
-	Containers int `json:"containers,omitempty"`
-	ZonePruned int `json:"zone_pruned,omitempty"`
+	// maps excluded. ContainersPerShard counts the containers the scan reads
+	// on each slice, in shard order: it sums to Containers - ZonePruned.
+	Shards             int   `json:"shards,omitempty"`
+	Containers         int   `json:"containers,omitempty"`
+	ZonePruned         int   `json:"zone_pruned,omitempty"`
+	ContainersPerShard []int `json:"containers_per_shard,omitempty"`
+	// Bounds lists the per-attribute value intervals a scan's WHERE yields
+	// ("r ∈ [-Inf, 18)"), which the zone maps prune containers with;
+	// "never (...)" marks a provably empty predicate.
+	Bounds []string `json:"bounds,omitempty"`
 	// CoverDepth is the HTM depth a spatial scan's region was covered to:
 	// Engine.CoverDepth when set, otherwise chosen from the store's record
 	// density.
@@ -124,10 +130,13 @@ func (s *opStats) markEnd() {
 // Operator is the physical-operator interface. open launches the
 // operator's goroutines and returns its output stream; errors surface
 // through rows like every other tree failure. describe snapshots the
-// operator's plan node, including actual counters when instrumented.
+// operator subtree, including actual counters when instrumented; node is
+// the operator's own plan-time description, which the planner reads for
+// its children's estimates without copying their subtrees.
 type Operator interface {
 	open(ctx context.Context, rows *Rows) <-chan Batch
 	describe() *OpNode
+	node() *OpNode
 }
 
 // opBase carries the description, instrumentation, and children shared by
@@ -137,6 +146,8 @@ type opBase struct {
 	stats    *opStats // nil when not running under ANALYZE
 	children []Operator
 }
+
+func (b *opBase) node() *OpNode { return &b.info }
 
 // describe renders the operator subtree, attaching actuals when the
 // operator ran instrumented. RowsIn defaults to the children's combined
@@ -217,6 +228,9 @@ func renderOpNode(b *strings.Builder, n *OpNode, depth int) {
 	if n.Filter != "" {
 		fmt.Fprintf(b, " WHERE %s", n.Filter)
 	}
+	if len(n.Bounds) > 0 {
+		fmt.Fprintf(b, " ZONES [%s]", strings.Join(n.Bounds, "; "))
+	}
 	if n.Agg != "" {
 		fmt.Fprintf(b, " %s", strings.ToUpper(n.Agg))
 	}
@@ -230,7 +244,11 @@ func renderOpNode(b *strings.Builder, n *OpNode, depth int) {
 		fmt.Fprintf(b, " %d", n.Limit)
 	}
 	if n.Shards > 0 {
-		fmt.Fprintf(b, " [shards=%d containers=%d zone_pruned=%d]", n.Shards, n.Containers, n.ZonePruned)
+		fmt.Fprintf(b, " [shards=%d containers=%d zone_pruned=%d", n.Shards, n.Containers, n.ZonePruned)
+		if n.Shards > 1 {
+			fmt.Fprintf(b, " per_shard=%v", n.ContainersPerShard)
+		}
+		b.WriteByte(']')
 	}
 	if n.Kernel != "" {
 		fmt.Fprintf(b, " KERNEL %s", n.Kernel)

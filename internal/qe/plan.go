@@ -1,7 +1,6 @@
-// The physical planner — the optimizer layer of the logical/physical split.
-// query.Prepared carries the logical plan (what to compute: compiled leaf
-// predicates, pushed below joins, with their coverage regions and zone
-// bounds); this file decides how to compute it:
+// The physical planner. query.Prepared carries the compiled statement (what
+// to compute: leaf predicates, pushed below joins, with their coverage
+// regions and zone bounds); this file decides how to compute it:
 //
 //   - Access path per leaf, cost-based: HTM coverage pruning is taken only
 //     when the candidate containers hold comfortably fewer records than the
@@ -21,9 +20,9 @@
 //   - Join sides by estimated cardinality: the hash join builds on the
 //     smaller input and probes with the larger.
 //
-// The result is an Operator tree (op.go) mirroring the executable shape;
-// Describe() serves it to EXPLAIN with estimates (and actuals after
-// EXPLAIN ANALYZE).
+// The result is an Operator tree (op.go) mirroring the executable shape.
+// It is the only description of a statement: Describe() serves it to
+// EXPLAIN with estimates (and actuals after EXPLAIN ANALYZE).
 package qe
 
 import (
@@ -115,8 +114,8 @@ func (e *Engine) planNode(prep *query.Prepared, analyze bool) (Operator, error) 
 		op.opBase = opBase{
 			info: OpNode{
 				Op:      strings.ToLower(prep.Op.String()),
-				EstRows: left.describe().EstRows + right.describe().EstRows,
-				EstCost: left.describe().EstCost + right.describe().EstCost,
+				EstRows: left.node().EstRows + right.node().EstRows,
+				EstCost: left.node().EstCost + right.node().EstCost,
 			},
 			stats:    newStats(analyze),
 			children: []Operator{left, right},
@@ -336,6 +335,19 @@ type scanOp struct {
 	// morsels is the scan chunked into container runs of ~morselRows
 	// records each, computed once at plan time.
 	morsels [][]htm.ID
+}
+
+// describe adds the two scan facts computed only when EXPLAIN asks: the
+// WHERE clause's zone bounds and the per-slice count of the containers the
+// scan reads.
+func (o *scanOp) describe() *OpNode {
+	n := o.opBase.describe()
+	n.Bounds = o.cs.Bounds.Strings(o.cs.Table)
+	n.ContainersPerShard = make([]int, o.st.NumShards())
+	for _, cid := range o.containers {
+		n.ContainersPerShard[o.st.ShardFor(cid)]++
+	}
+	return n
 }
 
 // buildMorsels chunks the kept containers into runs of roughly target

@@ -559,8 +559,8 @@ func (e *Engine) runLimit(ctx context.Context, n int, in <-chan Batch, rows *Row
 }
 
 // coverage computes the candidate trixel ranges for a select over st, or
-// nil for a full-table scan. planLeaf and fanoutSelect both go through it,
-// so EXPLAIN's fanout counts candidates from the cover the scan uses.
+// nil for a full-table scan. It runs once per leaf, in planLeaf, so the
+// container counts EXPLAIN reports come from the cover the scan uses.
 func (e *Engine) coverage(cs *query.CompiledSelect, st *store.Sharded) (*region.Coverage, error) {
 	if cs.Region == nil || e.NoIndex {
 		return nil, nil
@@ -577,94 +577,4 @@ func (e *Engine) NumShards() int {
 		}
 	}
 	return 0
-}
-
-// ShardFanout describes how one leaf scan node fans out across the shard
-// slices of its table: the candidate (coverage-overlapping) container count
-// on each slice. EXPLAIN serves this so clients can see the scatter before
-// paying for it.
-type ShardFanout struct {
-	Table   string `json:"table"`
-	Indexed bool   `json:"indexed"`
-	// ContainersPerShard is the candidate (coverage-overlapping) container
-	// count on each slice, in shard order.
-	ContainersPerShard []int `json:"containers_per_shard"`
-	ContainersTotal    int   `json:"containers_total"`
-	// ZonePruned counts candidates whose zone maps prove no satisfying
-	// record can live in them; ContainersScanned is what the scan will
-	// actually read (ContainersTotal - ZonePruned).
-	ZonePruned        int `json:"zone_pruned"`
-	ContainersScanned int `json:"containers_scanned"`
-}
-
-// Fanout computes the per-shard scatter of every leaf scan in a prepared
-// statement, in tree order (left before right; a join contributes its left
-// then right side scans). It reports the coverage + zone pruning view
-// independent of the physical planner: when the planner's crossover rule
-// drops the HTM path (see planLeaf), the executed scan touches more
-// containers than Fanout's candidate count — compare against the physical
-// plan's Containers for the as-executed numbers.
-func (e *Engine) Fanout(prep *query.Prepared) ([]ShardFanout, error) {
-	if prep.Join != nil {
-		left, err := e.fanoutSelect(prep.Join.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.fanoutSelect(prep.Join.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	}
-	if prep.Select == nil {
-		left, err := e.Fanout(prep.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.Fanout(prep.Right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
-	}
-	return e.fanoutSelect(prep.Select)
-}
-
-// fanoutSelect computes one leaf scan's per-shard scatter.
-func (e *Engine) fanoutSelect(cs *query.CompiledSelect) ([]ShardFanout, error) {
-	st, err := e.storeFor(cs.Table)
-	if err != nil {
-		return nil, err
-	}
-	cov, err := e.coverage(cs, st)
-	if err != nil {
-		return nil, err
-	}
-	var rangeSet *htm.RangeSet
-	if cov != nil {
-		rangeSet = cov.RangeSet()
-	}
-	fo := ShardFanout{
-		Table:              cs.Table.String(),
-		Indexed:            rangeSet != nil,
-		ContainersPerShard: make([]int, st.NumShards()),
-	}
-	// The zone filter already answers false for every container when the
-	// bounds are provably unsatisfiable, so Never needs no special case here.
-	zoneCheck := cs.Bounds.CompileZone()
-	for i, sh := range st.Shards() {
-		for _, cid := range sh.Containers() {
-			if rangeSet != nil && !rangeSet.OverlapsTrixel(cid) {
-				continue
-			}
-			fo.ContainersPerShard[i]++
-			fo.ContainersTotal++
-			if zoneCheck != nil && !sh.CheckZone(cid, zoneCheck.Admit) {
-				fo.ZonePruned++
-			} else {
-				fo.ContainersScanned++
-			}
-		}
-	}
-	return []ShardFanout{fo}, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"sdss/internal/catalog"
 	"sdss/internal/load"
-	"sdss/internal/query"
 	"sdss/internal/skygen"
 )
 
@@ -118,37 +117,26 @@ func TestShardPropertyGrid(t *testing.T) {
 	}
 }
 
-// TestShardFanout checks the EXPLAIN-side scatter report: every slice of a
-// whole-sky table holds candidate containers, and the per-shard counts sum
-// to the store's container total.
+// TestShardFanout checks the scan node's per-shard scatter: every slice of
+// a whole-sky table holds containers the scan reads, and the per-shard
+// counts sum to the containers left after zone pruning, out of the store's
+// container total.
 func TestShardFanout(t *testing.T) {
 	wide, _ := shardedArchive(t, 4000, 3, 4)
-	prep, err := query.PrepareString("SELECT objid FROM tag WHERE r < 21")
-	if err != nil {
-		t.Fatal(err)
+	scan := mustPlan(t, wide, "SELECT objid FROM tag WHERE r < 21").Describe()
+	if len(scan.ContainersPerShard) != 4 {
+		t.Fatalf("scan reports %d shards, want 4", len(scan.ContainersPerShard))
 	}
-	fo, err := wide.Fanout(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fo) != 1 {
-		t.Fatalf("got %d fanout entries, want 1", len(fo))
-	}
-	if len(fo[0].ContainersPerShard) != 4 {
-		t.Fatalf("fanout reports %d shards, want 4", len(fo[0].ContainersPerShard))
-	}
-	total := 0
-	for i, c := range fo[0].ContainersPerShard {
+	for i, c := range scan.ContainersPerShard {
 		if c == 0 {
-			t.Errorf("shard %d holds no candidate containers for a whole-sky scan", i)
+			t.Errorf("shard %d reads no containers for a whole-sky scan", i)
 		}
-		total += c
 	}
-	if total != wide.Tag.NumContainers() {
-		t.Fatalf("fanout total %d != %d containers", total, wide.Tag.NumContainers())
+	if scan.Containers != wide.Tag.NumContainers() {
+		t.Fatalf("scan candidates %d != %d containers", scan.Containers, wide.Tag.NumContainers())
 	}
-	if total != fo[0].ContainersTotal {
-		t.Fatalf("ContainersTotal %d != sum %d", fo[0].ContainersTotal, total)
+	if got := sum(scan.ContainersPerShard); got != scan.Containers-scan.ZonePruned {
+		t.Fatalf("per-shard sum %d != containers %d - zone_pruned %d", got, scan.Containers, scan.ZonePruned)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sdss/internal/catalog"
@@ -203,48 +204,45 @@ func TestZoneNaNColumns(t *testing.T) {
 }
 
 // TestAlwaysFalsePredicateTouchesNothing verifies the Never short-circuit:
-// the scan reports zero scanned containers and returns empty.
+// the scan plans as empty, reads no container on any shard, examines no
+// record and returns empty.
 func TestAlwaysFalsePredicateTouchesNothing(t *testing.T) {
 	e, _, _ := testArchive(t, 3000, 5)
-	prep, err := query.PrepareString("SELECT objid FROM tag WHERE r < 18 AND r > 21")
+	const q = "SELECT objid FROM tag WHERE r < 18 AND r > 21"
+	plan, rows := openAnalyzed(t, e, q)
+	res, err := rows.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo, err := e.Fanout(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fo) != 1 {
-		t.Fatalf("fanout entries = %d", len(fo))
-	}
-	if fo[0].ContainersScanned != 0 {
-		t.Errorf("containers_scanned = %d, want 0", fo[0].ContainersScanned)
-	}
-	if fo[0].ZonePruned != fo[0].ContainersTotal || fo[0].ContainersTotal == 0 {
-		t.Errorf("zone_pruned = %d of %d candidates, want all", fo[0].ZonePruned, fo[0].ContainersTotal)
-	}
-	res := mustCollect(t, e, "SELECT objid FROM tag WHERE r < 18 AND r > 21")
 	if len(res) != 0 {
 		t.Errorf("always-false predicate returned %d rows", len(res))
+	}
+	scan := scanNode(t, plan)
+	if scan.Access != "empty" || scan.Containers != 0 || sum(scan.ContainersPerShard) != 0 {
+		t.Errorf("always-false scan: access %q, %d containers, per shard %v; want empty and none read",
+			scan.Access, scan.Containers, scan.ContainersPerShard)
+	}
+	if len(scan.Bounds) != 1 || !strings.HasPrefix(scan.Bounds[0], "never") {
+		t.Errorf("always-false scan bounds = %q", scan.Bounds)
+	}
+	if scan.Actual.RowsIn != 0 {
+		t.Errorf("always-false scan examined %d records", scan.Actual.RowsIn)
 	}
 }
 
 // TestFanoutZonePruning checks that a selective cut reports pruned
-// containers on a store whose zones can separate it (the run attribute is
-// spatially clustered by construction of the drift-scan generator).
+// containers on a store whose zones can separate it: mjd is always
+// positive in the generator, so mjd < 0 prunes every candidate.
 func TestFanoutZonePruning(t *testing.T) {
 	e, _, _ := testArchive(t, 4000, 3)
-	prep, err := query.PrepareString("SELECT objid FROM photoobj WHERE mjd < 0")
-	if err != nil {
-		t.Fatal(err)
+	scan := mustPlan(t, e, "SELECT objid FROM photoobj WHERE mjd < 0").Describe()
+	if scan.Access != "zone-scan" || scan.ZonePruned != scan.Containers || scan.Containers == 0 ||
+		sum(scan.ContainersPerShard) != 0 {
+		t.Errorf("mjd < 0: access %q, pruned %d of %d, reads %v per shard",
+			scan.Access, scan.ZonePruned, scan.Containers, scan.ContainersPerShard)
 	}
-	fo, err := e.Fanout(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// mjd is always positive in the generator: every candidate prunes.
-	if fo[0].ZonePruned != fo[0].ContainersTotal || fo[0].ContainersScanned != 0 {
-		t.Errorf("mjd < 0 pruned %d of %d, scans %d", fo[0].ZonePruned, fo[0].ContainersTotal, fo[0].ContainersScanned)
+	if len(scan.Bounds) != 1 || !strings.HasPrefix(scan.Bounds[0], "mjd ∈") {
+		t.Errorf("bounds = %q", scan.Bounds)
 	}
 }
 

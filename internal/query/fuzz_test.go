@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzParse drives arbitrary text through the full front end: parse,
-// analyze, compile, and plan. Nothing here may panic; errors are the
+// analyze and compile. Nothing here may panic; errors are the
 // contract for bad input. The seed corpus covers every statement shape the
 // grammar accepts (projections, predicates, spatial functions, aggregates,
 // ORDER BY/LIMIT, set operations) plus near-miss malformed text.
@@ -74,7 +74,5 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		prep.Columns()
-		prep.Plan()
-		_ = prep.Explain()
 	})
 }

@@ -141,42 +141,6 @@ func TestJoinResidualEvaluation(t *testing.T) {
 	}
 }
 
-func TestJoinPlanShape(t *testing.T) {
-	prep, err := PrepareString("SELECT p.objid, s.z FROM photo p JOIN spec s ON p.objid = s.objid WHERE p.r < 18 ORDER BY s.z LIMIT 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := prep.Plan()
-	if p.Kind != "hash-join" || len(p.Children) != 2 {
-		t.Fatalf("plan = %+v", p)
-	}
-	if p.On != "p.objid = s.objid" {
-		t.Errorf("on = %q", p.On)
-	}
-	if p.Children[0].Table != "photoobj" || p.Children[1].Table != "specobj" {
-		t.Errorf("children tables: %q, %q", p.Children[0].Table, p.Children[1].Table)
-	}
-	if p.Children[0].Filter == "" || !strings.Contains(p.Children[0].Filter, "p.r") {
-		t.Errorf("left filter = %q (pushdown not visible)", p.Children[0].Filter)
-	}
-	if p.OrderBy != "s.z" || p.Limit != 10 {
-		t.Errorf("order/limit: %+v", p)
-	}
-	text := prep.Explain()
-	if !strings.Contains(text, "HASH-JOIN") || !strings.Contains(text, "SCAN photoobj") {
-		t.Errorf("explain text:\n%s", text)
-	}
-
-	prepN, err := PrepareString("SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 2) WHERE a.objid < b.objid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pn := prepN.Plan()
-	if pn.Kind != "neighbor-join" || pn.RadiusArcmin != 2 {
-		t.Fatalf("neighbors plan = %+v", pn)
-	}
-}
-
 func TestJoinNeighborRadiusConversion(t *testing.T) {
 	cj := prepareJoin(t, "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 3)")
 	wantRad := 3.0 * math.Pi / (180 * 60)

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // ColType is the wire type of a result column. Values travel as float64
 // inside the engine; the type tells consumers (and the REST tier's
@@ -76,142 +73,4 @@ func (p *Prepared) Columns() []Column {
 		return p.Join.Columns()
 	}
 	return p.Left.Columns()
-}
-
-// PlanNode is one node of the EXPLAIN representation of a Query Execution
-// Tree: what each node scans, filters, and emits, and whether the HTM index
-// prunes its I/O.
-type PlanNode struct {
-	// Kind is "scan" for leaf query nodes, else the set operation
-	// ("union", "intersect", "minus").
-	Kind    string   `json:"kind"`
-	Table   string   `json:"table,omitempty"`
-	Columns []Column `json:"columns,omitempty"`
-	// Filter is the canonical WHERE clause, empty if all objects match.
-	Filter string `json:"filter,omitempty"`
-	// Indexed reports whether a spatial region was extracted from the
-	// filter, enabling HTM coverage pruning instead of a full-table scan.
-	Indexed bool `json:"indexed,omitempty"`
-	// Bounds lists the per-attribute value intervals extracted from the
-	// filter ("r ∈ [-Inf, 18)"), which zone maps use to prune containers;
-	// "never (...)" marks a provably empty predicate.
-	Bounds []string `json:"bounds,omitempty"`
-	// On is the join condition of a join node ("p.objid = s.objid", or the
-	// neighbor-join distance constraint).
-	On string `json:"on,omitempty"`
-	// RadiusArcmin is the neighbor-join pair radius.
-	RadiusArcmin float64     `json:"radius_arcmin,omitempty"`
-	Agg          string      `json:"agg,omitempty"`
-	OrderBy      string      `json:"order_by,omitempty"`
-	Desc         bool        `json:"desc,omitempty"`
-	Limit        int         `json:"limit,omitempty"`
-	Children     []*PlanNode `json:"children,omitempty"`
-}
-
-// scanPlanNode describes one leaf scan (a whole single-table select, or one
-// side of a join).
-func scanPlanNode(cs *CompiledSelect) *PlanNode {
-	n := &PlanNode{
-		Kind:    "scan",
-		Table:   cs.Table.String(),
-		Columns: cs.Columns(),
-		Indexed: cs.Region != nil,
-		Bounds:  cs.Bounds.Strings(cs.Table),
-		Limit:   cs.Limit,
-		Desc:    cs.Desc,
-	}
-	if cs.Source != nil && cs.Source.Where != nil {
-		n.Filter = cs.Source.Where.String()
-	}
-	if cs.Agg != AggNone {
-		n.Agg = cs.Agg.String()
-	}
-	if cs.Order != AttrInvalid {
-		n.OrderBy = AttrName(cs.Table, cs.Order)
-	}
-	return n
-}
-
-// Plan returns the EXPLAIN tree for a prepared statement.
-func (p *Prepared) Plan() *PlanNode {
-	if cs := p.Select; cs != nil {
-		return scanPlanNode(cs)
-	}
-	if cj := p.Join; cj != nil {
-		kind := "hash-join"
-		if cj.Kind == JoinNeighbors {
-			kind = "neighbor-join"
-		}
-		n := &PlanNode{
-			Kind:     kind,
-			Columns:  cj.Columns(),
-			On:       cj.On,
-			Filter:   cj.ResidualStr,
-			Limit:    cj.Limit,
-			Desc:     cj.Desc,
-			Children: []*PlanNode{scanPlanNode(cj.Left), scanPlanNode(cj.Right)},
-		}
-		if cj.Kind == JoinNeighbors && cj.Source != nil && cj.Source.Join != nil {
-			n.RadiusArcmin = cj.Source.Join.RadiusArcmin
-		}
-		if cj.Agg != AggNone {
-			n.Agg = cj.Agg.String()
-		}
-		if cj.OrderRef >= 0 && cj.Source != nil {
-			n.OrderBy = cj.Source.OrderBy
-		}
-		return n
-	}
-	return &PlanNode{
-		Kind:     strings.ToLower(p.Op.String()),
-		Columns:  p.Columns(),
-		Children: []*PlanNode{p.Left.Plan(), p.Right.Plan()},
-	}
-}
-
-// Explain renders the plan as indented text, one node per line.
-func (p *Prepared) Explain() string {
-	var b strings.Builder
-	explainNode(&b, p.Plan(), 0)
-	return b.String()
-}
-
-func explainNode(b *strings.Builder, n *PlanNode, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(strings.ToUpper(n.Kind))
-	if n.Table != "" {
-		fmt.Fprintf(b, " %s", n.Table)
-	}
-	if len(n.Columns) > 0 {
-		names := make([]string, len(n.Columns))
-		for i, c := range n.Columns {
-			names[i] = c.Name
-		}
-		fmt.Fprintf(b, " [%s]", strings.Join(names, ", "))
-	}
-	if n.On != "" {
-		fmt.Fprintf(b, " ON %s", n.On)
-	}
-	if n.Filter != "" {
-		fmt.Fprintf(b, " WHERE %s", n.Filter)
-	}
-	if n.Indexed {
-		b.WriteString(" USING htm-index")
-	}
-	if len(n.Bounds) > 0 {
-		fmt.Fprintf(b, " ZONES [%s]", strings.Join(n.Bounds, "; "))
-	}
-	if n.OrderBy != "" {
-		fmt.Fprintf(b, " ORDER BY %s", n.OrderBy)
-		if n.Desc {
-			b.WriteString(" DESC")
-		}
-	}
-	if n.Limit > 0 {
-		fmt.Fprintf(b, " LIMIT %d", n.Limit)
-	}
-	b.WriteByte('\n')
-	for _, c := range n.Children {
-		explainNode(b, c, depth+1)
-	}
 }

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestColumnsFromProjection(t *testing.T) {
 	prep, err := PrepareString("SELECT objid, ra, dec, r, class FROM tag WHERE r < 20")
@@ -115,56 +112,5 @@ func TestTableColumnsSchemaDiscovery(t *testing.T) {
 		if byName[name] != want {
 			t.Errorf("spec %s type = %s, want %s", name, byName[name], want)
 		}
-	}
-}
-
-func TestPlanScan(t *testing.T) {
-	prep, err := PrepareString("SELECT objid, r FROM tag WHERE CIRCLE(185, 32, 10) AND r < 20 ORDER BY r DESC LIMIT 7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := prep.Plan()
-	if p.Kind != "scan" || p.Table != "tag" {
-		t.Fatalf("plan = %+v", p)
-	}
-	if !p.Indexed {
-		t.Error("spatial query not marked indexed")
-	}
-	if p.OrderBy != "r" || !p.Desc || p.Limit != 7 {
-		t.Errorf("order/limit: %+v", p)
-	}
-	if p.Filter == "" || !strings.Contains(p.Filter, "CIRCLE") {
-		t.Errorf("filter = %q", p.Filter)
-	}
-
-	// No spatial predicate → full scan, not indexed.
-	prep, err = PrepareString("SELECT objid FROM tag WHERE r < 20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prep.Plan().Indexed {
-		t.Error("magnitude-only query marked indexed")
-	}
-}
-
-func TestPlanSetOpAndExplainText(t *testing.T) {
-	prep, err := PrepareString("SELECT objid FROM tag WHERE r < 18 MINUS SELECT objid FROM tag WHERE g < 18")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := prep.Plan()
-	if p.Kind != "minus" || len(p.Children) != 2 {
-		t.Fatalf("plan = %+v", p)
-	}
-	text := prep.Explain()
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("explain text has %d lines:\n%s", len(lines), text)
-	}
-	if !strings.HasPrefix(lines[0], "MINUS") {
-		t.Errorf("line 0 = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "  SCAN tag") {
-		t.Errorf("line 1 = %q", lines[1])
 	}
 }
