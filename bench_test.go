@@ -2,7 +2,7 @@ package sdss
 
 // One benchmark per table and figure of the paper, plus its quantified
 // performance claims and the design-choice ablations. Each wraps the
-// corresponding experiment in internal/expt, which prints the
+// corresponding experiment in internal/paper/expt, which prints the
 // paper-versus-measured table; the benchmark numbers time a full
 // regeneration of that experiment. `go run ./bench` measures the archive
 // end to end.
@@ -12,7 +12,7 @@ import (
 	"os"
 	"testing"
 
-	"sdss/internal/expt"
+	"sdss/internal/paper/expt"
 )
 
 // benchCfg is the default benchmark scale: 1e-4 of the 3×10⁸-object survey

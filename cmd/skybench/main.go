@@ -13,10 +13,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
-	"sdss/internal/expt"
+	"sdss/internal/paper/expt"
 )
 
 func main() {
@@ -31,28 +30,24 @@ func main() {
 	)
 	flag.Parse()
 
-	all := expt.All()
 	if *list {
-		for _, e := range all {
+		for _, e := range expt.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
-	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
+	exps, err := expt.Select(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "skybench: -run: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	cfg := expt.Config{Scale: *scale, Seed: *seed, Nodes: *nodes}
 	fmt.Printf("skybench: scale %g (%d objects), seed %d, %d nodes\n",
-		*scale, cfg.Objects(), *seed, *nodes)
+		*scale, cfg.Objects(), *seed, cfg.NodeCount())
 	start := time.Now()
 	failed := 0
-	for _, e := range all {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
+	for _, e := range exps {
 		if err := e.Run(cfg, os.Stdout); err != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)

@@ -3,13 +3,16 @@
 // Kunszt, Thakar, Gray — SIGMOD 2000), grown toward the public SkyServer
 // tier the follow-on papers describe.
 //
-// The library lives under internal/: the Hierarchical Triangular Mesh sky
+// The engine lives under internal/: the Hierarchical Triangular Mesh sky
 // index (internal/htm), the half-space region algebra (internal/region),
 // the container-clustered object store (internal/store), the parallel
-// Query Execution Tree engine with ASAP push (internal/query, internal/qe),
-// the scan, hash and river machines (internal/scan, internal/hashm,
-// internal/river), the archive topology simulation and versioned /v1 REST
-// tier (internal/archive), and the assembled public facade (internal/core).
+// Query Execution Tree engine with ASAP push (internal/query, internal/qe)
+// and its spatial join index (internal/hashm), the versioned /v1 REST tier
+// (internal/archive), and the assembled public facade (internal/core). The
+// paper's simulated machinery around the archive (the scan and hash
+// machines, the Figure 2 tier pipeline, the experiments) lives under
+// internal/paper, the river, tiling and camera still at internal/river,
+// internal/tiling and internal/driftscan; no engine package imports them.
 //
 // Result sets are typed end to end: the query compiler exposes the
 // projection's column names and types (query.Column), the engine's

@@ -1,3 +1,8 @@
+// Package archive is the Science Archive's public tier: the versioned /v1
+// REST API over the query engine (WWW), its JSON, NDJSON and CSV result
+// writers, and the asynchronous job tier with admission control
+// (JobManager). The paper's Figure 2 pipeline of archive tiers is
+// simulated separately, in internal/paper/tiers.
 package archive
 
 import (

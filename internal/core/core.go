@@ -1,8 +1,10 @@
 // Package core assembles the paper's systems into the Science Archive's
 // public API: one Archive value owns the container-clustered stores (full
-// photometric table, tag vertical partition, spectroscopic table), the
-// parallel query engine with its HTM index, and the mining machinery (scan
-// machine, hash machine, sampling, cross-identification).
+// photometric table, tag vertical partition, spectroscopic table) and the
+// parallel query engine with its HTM index. Its mining methods (lens
+// candidates, groups, cross-identification, sampling, the scan machine and
+// fiber tiling) run the paper's simulated machinery from internal/paper and
+// internal/tiling, which only core and a few other packages may import.
 //
 // A downstream user needs only this package: create or open an archive,
 // load survey chunks, and query or mine it.
@@ -21,14 +23,14 @@ import (
 
 	"sdss/internal/archive"
 	"sdss/internal/catalog"
-	"sdss/internal/cluster"
-	"sdss/internal/hashm"
 	"sdss/internal/htm"
 	"sdss/internal/load"
+	"sdss/internal/paper/cluster"
+	"sdss/internal/paper/hashmachine"
+	"sdss/internal/paper/sample"
+	"sdss/internal/paper/scan"
 	"sdss/internal/qe"
 	"sdss/internal/query"
-	"sdss/internal/sample"
-	"sdss/internal/scan"
 	"sdss/internal/skygen"
 	"sdss/internal/sphere"
 	"sdss/internal/store"
@@ -46,9 +48,9 @@ type Options struct {
 	// Workers sizes the engine-wide morsel worker pool (default GOMAXPROCS).
 	Workers int
 	// Shards splits every store into that many slices (default 1), each
-	// independently persistable; a query's scans read every slice and
-	// gather one stream each. A persisted archive remembers its shard
-	// count, so reopening with Shards 0 adopts it.
+	// independently persistable; a scan's morsels cover the containers of
+	// every slice and its rows gather into one stream. A persisted archive
+	// remembers its shard count, so reopening with Shards 0 adopts it.
 	Shards int
 }
 
@@ -238,31 +240,31 @@ func (a *Archive) Tags() ([]catalog.Tag, error) {
 // LensCandidates mines the archive for gravitational-lens candidates: the
 // paper's "objects within 10 arcsec of each other which have identical
 // colors, but may have a different brightness", run on the hash machine.
-func (a *Archive) LensCandidates(maxSepArcsec, colorTol float64) ([]hashm.Pair, error) {
-	cfg := hashm.Config{PairRadius: maxSepArcsec * sphere.Arcsec}
-	buckets, err := hashm.HashStore(a.target.Tag, cfg, nil)
+func (a *Archive) LensCandidates(maxSepArcsec, colorTol float64) ([]hashmachine.Pair, error) {
+	cfg := hashmachine.Config{PairRadius: maxSepArcsec * sphere.Arcsec}
+	buckets, err := hashmachine.HashStore(a.target.Tag, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	return hashm.Pairs(buckets, cfg, hashm.ColorMatch(colorTol))
+	return hashmachine.Pairs(buckets, cfg, hashmachine.ColorMatch(colorTol))
 }
 
 // Groups runs friends-of-friends clustering at the given linking length.
-func (a *Archive) Groups(linkArcsec float64, minMembers int) ([]hashm.Group, error) {
+func (a *Archive) Groups(linkArcsec float64, minMembers int) ([]hashmachine.Group, error) {
 	tags, err := a.Tags()
 	if err != nil {
 		return nil, err
 	}
-	return hashm.FriendsOfFriends(tags, hashm.Config{PairRadius: linkArcsec * sphere.Arcsec}, minMembers)
+	return hashmachine.FriendsOfFriends(tags, hashmachine.Config{PairRadius: linkArcsec * sphere.Arcsec}, minMembers)
 }
 
 // CrossMatch identifies an external catalog's sources against the archive.
-func (a *Archive) CrossMatch(radio []skygen.RadioSource, radiusArcsec float64) ([]hashm.Match, error) {
+func (a *Archive) CrossMatch(radio []skygen.RadioSource, radiusArcsec float64) ([]hashmachine.Match, error) {
 	tags, err := a.Tags()
 	if err != nil {
 		return nil, err
 	}
-	return hashm.CrossMatch(tags, radio, radiusArcsec*sphere.Arcsec, hashm.Config{})
+	return hashmachine.CrossMatch(tags, radio, radiusArcsec*sphere.Arcsec, hashmachine.Config{})
 }
 
 // Sample derives a new in-memory archive holding the given fraction of

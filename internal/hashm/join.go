@@ -1,10 +1,10 @@
-// Generic spatial join on the hash machine's partition scheme. The query
-// engine's NEIGHBORS operator feeds arbitrary result rows through this
-// bridge: each row becomes an Item (identity + unit-sphere position + the
-// caller's row index), the build side is hashed into coarse HTM-trixel
-// partitions with exact margin replication at partition boundaries, and each
-// probe row searches only its home partition — "the spatial analogue of a
-// relational hash-join", exactly as the paper frames it.
+// Package hashm is the query engine's spatial join index, built on the
+// hash machine's partition scheme. The NEIGHBORS operator feeds arbitrary
+// result rows through it: each row becomes an Item (identity, unit-sphere
+// position and the caller's row index), the build side is hashed into coarse
+// HTM-trixel partitions with exact margin replication at partition
+// boundaries, and each probe row searches only its home partition — "the
+// spatial analogue of a relational hash-join", as the paper frames it.
 //
 // Within a partition, candidates are held sorted by their z coordinate
 // (sin declination): a probe binary-searches the declination band

@@ -10,14 +10,14 @@ import (
 	"time"
 
 	"sdss/internal/catalog"
-	"sdss/internal/cluster"
 	"sdss/internal/core"
-	"sdss/internal/hashm"
 	"sdss/internal/htm"
 	"sdss/internal/load"
+	"sdss/internal/paper/cluster"
+	"sdss/internal/paper/hashmachine"
+	"sdss/internal/paper/scan"
 	"sdss/internal/qe"
 	"sdss/internal/river"
-	"sdss/internal/scan"
 	"sdss/internal/skygen"
 	"sdss/internal/sphere"
 	"sdss/internal/stats"
@@ -41,7 +41,7 @@ func ScanScaling(cfg Config, w io.Writer) error {
 	dataBytes := float64(st.Bytes())
 	tbl := stats.NewTable("Nodes", "Aggregate MB/s", "Speedup", "Scan time", "Extrapolated full-catalog scan")
 	var base float64
-	for _, nodes := range []int{1, 2, 4, 8, 16, cfg.nodes()} {
+	for _, nodes := range []int{1, 2, 4, 8, 16, cfg.NodeCount()} {
 		fabric, err := cluster.New(nodes, perNodeRate)
 		if err != nil {
 			return err
@@ -260,23 +260,23 @@ func HashMachineLens(cfg Config, w io.Writer) error {
 		tags = append(tags, img)
 	}
 
-	hcfg := hashm.Config{PairRadius: 10 * sphere.Arcsec}
-	pred := hashm.ColorMatch(0.05)
+	hcfg := hashmachine.Config{PairRadius: 10 * sphere.Arcsec}
+	pred := hashmachine.ColorMatch(0.05)
 	start := time.Now()
-	buckets, err := hashm.Hash(tags, hcfg, nil)
+	buckets, err := hashmachine.Hash(tags, hcfg, nil)
 	if err != nil {
 		return err
 	}
 	hashT := time.Since(start)
 	start = time.Now()
-	pairs, err := hashm.Pairs(buckets, hcfg, pred)
+	pairs, err := hashmachine.Pairs(buckets, hcfg, pred)
 	if err != nil {
 		return err
 	}
 	pairT := time.Since(start)
 
 	start = time.Now()
-	naive := hashm.NaivePairs(tags, hcfg, nil, pred)
+	naive := hashmachine.NaivePairs(tags, hcfg, nil, pred)
 	naiveT := time.Since(start)
 	if len(naive) != len(pairs) {
 		return fmt.Errorf("expt: hash machine found %d pairs, naive %d", len(pairs), len(naive))
@@ -296,8 +296,8 @@ func HashMachineLens(cfg Config, w io.Writer) error {
 	// Phase-2 worker scaling on a denser workload (friends-of-friends
 	// linking length of 2 arcmin gives buckets enough pairwise work to
 	// amortize the fan-out).
-	dense := hashm.Config{BucketDepth: 6, PairRadius: 2 * sphere.Arcmin}
-	denseBuckets, err := hashm.Hash(tags, dense, nil)
+	dense := hashmachine.Config{BucketDepth: 6, PairRadius: 2 * sphere.Arcmin}
+	denseBuckets, err := hashmachine.Hash(tags, dense, nil)
 	if err != nil {
 		return err
 	}
@@ -309,7 +309,7 @@ func HashMachineLens(cfg Config, w io.Writer) error {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := hashm.Pairs(denseBuckets, c, nil); err != nil {
+			if _, err := hashmachine.Pairs(denseBuckets, c, nil); err != nil {
 				return err
 			}
 			if t := time.Since(start); t < best {

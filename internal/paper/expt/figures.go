@@ -7,10 +7,10 @@ import (
 	"math/rand"
 	"time"
 
-	"sdss/internal/archive"
 	"sdss/internal/catalog"
 	"sdss/internal/driftscan"
 	"sdss/internal/htm"
+	"sdss/internal/paper/tiers"
 	"sdss/internal/region"
 	"sdss/internal/sphere"
 	"sdss/internal/stats"
@@ -106,25 +106,25 @@ func Figure1(cfg Config, w io.Writer) error {
 func Figure2(cfg Config, w io.Writer) error {
 	section(w, "E3 / Figure 2", "archive data flow T → OA → MSA → LA → public")
 	epoch := time.Date(2000, 4, 1, 0, 0, 0, 0, time.UTC)
-	sim := archive.NewSim(archive.DefaultDelays(), epoch)
+	sim := tiers.NewSim(tiers.DefaultDelays(), epoch)
 	const nights = 365
 	const nightlyBytes = 20e9 // "about 20 GB will be arriving daily"
 	for n := 0; n < nights; n++ {
-		sim.Observe(epoch.Add(time.Duration(n)*archive.Day), int64(nightlyBytes))
+		sim.Observe(epoch.Add(time.Duration(n)*tiers.Day), int64(nightlyBytes))
 	}
-	sim.RunUntil(epoch.Add(nights * archive.Day))
-	paper := map[archive.Tier]string{
-		archive.Telescope:     "-",
-		archive.Operational:   "1 day",
-		archive.MasterScience: "~3 weeks",
-		archive.Local:         "~7 weeks",
-		archive.Public:        "1-2 years",
+	sim.RunUntil(epoch.Add(nights * tiers.Day))
+	paper := map[tiers.Tier]string{
+		tiers.Telescope:     "-",
+		tiers.Operational:   "1 day",
+		tiers.MasterScience: "~3 weeks",
+		tiers.Local:         "~7 weeks",
+		tiers.Public:        "1-2 years",
 	}
 	tbl := stats.NewTable("Tier", "Paper latency", "Measured latency", "Holdings @1yr", "Bytes @1yr")
-	for _, tier := range archive.Tiers() {
+	for _, tier := range tiers.Tiers() {
 		mean, _, _, n := sim.TierLatency(tier)
 		lat := "-"
-		if n > 0 && tier != archive.Telescope {
+		if n > 0 && tier != tiers.Telescope {
 			lat = fmt.Sprintf("%.0f days", mean.Hours()/24)
 		}
 		chunks, bytes := sim.Holdings(tier)
@@ -132,7 +132,7 @@ func Figure2(cfg Config, w io.Writer) error {
 	}
 	sim.Drain()
 	fmt.Fprint(w, tbl)
-	mean, _, _, _ := sim.TierLatency(archive.Public)
+	mean, _, _, _ := sim.TierLatency(tiers.Public)
 	fmt.Fprintf(w, "after drain: every chunk public, observation→public latency %.1f years\n",
 		mean.Hours()/24/365)
 	return nil

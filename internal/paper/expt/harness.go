@@ -51,7 +51,9 @@ func (c Config) ScaleFactor() float64 {
 	return SurveyObjects / float64(c.Objects())
 }
 
-func (c Config) nodes() int {
+// NodeCount returns the cluster width the experiments simulate: Nodes, or
+// the paper's 20 when Nodes is unset.
+func (c Config) NodeCount() int {
 	if c.Nodes > 0 {
 		return c.Nodes
 	}

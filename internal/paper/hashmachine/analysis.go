@@ -1,4 +1,4 @@
-package hashm
+package hashmachine
 
 import (
 	"math"

@@ -1,4 +1,4 @@
-// Package hashm implements the paper's hash machine: the second class of
+// Package hashmachine implements the paper's hash machine: the second class of
 // server, which "performs comparisons within data clusters".
 //
 // "The hash phase scans the entire dataset, selects a subset of the objects
@@ -15,7 +15,7 @@
 // lies within the pair radius of the object, computed with the same
 // region-coverage machinery queries use. Each emitted pair is produced
 // exactly once (in the home bucket of its lower-ID member).
-package hashm
+package hashmachine
 
 import (
 	"fmt"

@@ -22,8 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdss/internal/cluster"
 	"sdss/internal/htm"
+	"sdss/internal/paper/cluster"
 	"sdss/internal/store"
 )
 

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"sdss/internal/catalog"
-	"sdss/internal/cluster"
 	"sdss/internal/load"
+	"sdss/internal/paper/cluster"
 	"sdss/internal/skygen"
 	"sdss/internal/store"
 )

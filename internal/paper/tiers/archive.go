@@ -1,4 +1,4 @@
-// Package archive simulates the SDSS multi-tier archive topology of the
+// Package tiers simulates the SDSS multi-tier archive topology of the
 // paper's Figure 2: telescope data (T) ships on tape to the Operational
 // Archive (OA), calibrated data publishes to the Master Science Archive
 // (MSA), replicates to Local Archives (LA), and after one to two years of
@@ -8,7 +8,7 @@
 // The simulation runs on a virtual clock driven by an event queue, so five
 // years of survey operations replay in microseconds while preserving every
 // latency relationship the figure draws.
-package archive
+package tiers
 
 import (
 	"container/heap"

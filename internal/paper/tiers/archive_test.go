@@ -1,4 +1,4 @@
-package archive
+package tiers
 
 import (
 	"testing"

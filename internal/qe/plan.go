@@ -250,9 +250,9 @@ func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, erro
 				frac = partialCoverFraction
 			}
 			if zoneCheck != nil && min != nil {
-				// Fraction is 0 exactly when Admit would reject (fractionIn
-				// floors admitted attributes at 0.01), so one interval walk
-				// serves both the prune decision and the estimate.
+				// Fraction is 0 exactly when the zone proves no record
+				// can satisfy, so one interval walk serves both the prune
+				// decision and the estimate.
 				zf := zoneCheck.Fraction(min, max, hasNaN)
 				if zf == 0 {
 					pruned++

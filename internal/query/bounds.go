@@ -145,27 +145,6 @@ func (b *Bounds) Constrained() bool {
 	return b != nil && (b.Never || len(b.ByAttr) > 0)
 }
 
-// AdmitZone reports whether a container with per-attribute min/max/NaN
-// statistics (indexed by AttrID) could hold a satisfying record. Attributes
-// beyond the zone's width are conservatively admitted.
-func (b *Bounds) AdmitZone(min, max []float64, hasNaN []bool) bool {
-	if b == nil {
-		return true
-	}
-	if b.Never {
-		return false
-	}
-	for attr, iv := range b.ByAttr {
-		if int(attr) >= len(min) {
-			continue
-		}
-		if !iv.admits(min[attr], max[attr], hasNaN[attr]) {
-			return false
-		}
-	}
-	return true
-}
-
 // fractionIn estimates what fraction of a container's values on one
 // attribute fall inside the interval, assuming a uniform spread over the
 // container's [zoneLo, zoneHi] span — the coarse selectivity estimate the
@@ -211,36 +190,11 @@ func (iv Interval) fractionIn(zoneLo, zoneHi float64, hasNaN bool) float64 {
 	return f
 }
 
-// EstimateFraction estimates the fraction of a container's records that
-// satisfy the bounds, given its zone statistics, multiplying the
-// per-attribute fractions (attribute independence assumed). Used by the
-// cost-based planner for cardinality estimates; pruning correctness never
-// depends on it.
-func (b *Bounds) EstimateFraction(min, max []float64, hasNaN []bool) float64 {
-	if b == nil {
-		return 1
-	}
-	if b.Never {
-		return 0
-	}
-	f := 1.0
-	for attr, iv := range b.ByAttr {
-		if int(attr) >= len(min) {
-			continue
-		}
-		f *= iv.fractionIn(min[attr], max[attr], hasNaN[attr])
-		if f == 0 {
-			return 0
-		}
-	}
-	return f
-}
-
 // ZoneFilter is a Bounds compiled for the planner's per-container loop: the
 // constrained intervals flattened out of the attribute map once per query,
-// so the admit and selectivity checks that run for every candidate
-// container iterate a short slice instead of re-walking a map thousands of
-// times per plan.
+// so the prune-and-estimate check that runs for every candidate container
+// iterates a short slice instead of re-walking a map thousands of times per
+// plan.
 type ZoneFilter struct {
 	never bool
 	preds []zoneInterval
@@ -265,24 +219,14 @@ func (b *Bounds) CompileZone() *ZoneFilter {
 	return f
 }
 
-// Admit is Bounds.AdmitZone over the flattened intervals.
-func (f *ZoneFilter) Admit(min, max []float64, hasNaN []bool) bool {
-	if f.never {
-		return false
-	}
-	for i := range f.preds {
-		p := &f.preds[i]
-		if p.attr >= len(min) {
-			continue
-		}
-		if !p.iv.admits(min[p.attr], max[p.attr], hasNaN[p.attr]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Fraction is Bounds.EstimateFraction over the flattened intervals.
+// Fraction estimates the fraction of a container's records that satisfy
+// the bounds, given the container's per-attribute min/max/NaN zone
+// statistics (indexed by AttrID), by multiplying the per-attribute
+// fractions (attribute independence assumed). It is 0 exactly when the
+// zone proves no record can satisfy, since fractionIn floors admitted
+// attributes at 0.01: the planner prunes on 0 and feeds the rest to its
+// cardinality estimates. Attributes beyond the zone's width are
+// conservatively admitted.
 func (f *ZoneFilter) Fraction(min, max []float64, hasNaN []bool) float64 {
 	if f.never {
 		return 0

@@ -214,18 +214,19 @@ func TestBoundsAdmitZone(t *testing.T) {
 		{"NOT (r < 18)", 14, 16, false, false},
 		{"r < 18 AND r > 21", 14, 22, false, false}, // Never prunes all
 	}
+	// The planner prunes a container exactly when Fraction is 0.
 	for _, c := range cases {
-		b := boundsFor(t, c.where)
+		zf := boundsFor(t, c.where).CompileZone()
 		min, max, hasNaN := mkZone(c.lo, c.hi, c.nan)
-		if got := b.AdmitZone(min, max, hasNaN); got != c.admit {
+		if got := zf.Fraction(min, max, hasNaN) != 0; got != c.admit {
 			t.Errorf("%q on zone [%g,%g] nan=%v: admit=%v, want %v",
 				c.where, c.lo, c.hi, c.nan, got, c.admit)
 		}
 	}
-	// Nil bounds admit everything.
+	// Nil bounds compile to no filter: the planner admits every zone.
 	var nilB *Bounds
-	if !nilB.AdmitZone(nil, nil, nil) {
-		t.Error("nil bounds must admit")
+	if nilB.CompileZone() != nil {
+		t.Error("nil bounds must compile to a nil ZoneFilter")
 	}
 }
 
