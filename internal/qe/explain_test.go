@@ -32,7 +32,8 @@ func sum(counts []int) int {
 }
 
 // TestPlanScan: a spatial select with ORDER BY/LIMIT plans as
-// limit → sort → indexed scan, and the scan carries the filter.
+// limit → sort → indexed scan, and the scan carries the filter and the
+// top-N pushdown, in its node and on its EXPLAIN line.
 func TestPlanScan(t *testing.T) {
 	e, photo, _ := testArchive(t, 3000, 5)
 	c := &photo[0]
@@ -55,6 +56,20 @@ func TestPlanScan(t *testing.T) {
 	}
 	if !strings.Contains(scan.Filter, "CIRCLE") {
 		t.Errorf("filter = %q", scan.Filter)
+	}
+	if scan.Limit != 7 || scan.OrderBy != "r" || !scan.Desc {
+		t.Errorf("scan top-N = limit %d by %q desc=%v, want TOP 7 BY r DESC", scan.Limit, scan.OrderBy, scan.Desc)
+	}
+	lines := strings.Split(plan.Text(), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[2], "    SCAN tag") || !strings.Contains(lines[2], " TOP 7 BY r DESC") {
+		t.Errorf("scan line does not show the top-N pushdown:\n%s", plan.Text())
+	}
+	if strings.Contains(lines[0], " TOP ") || strings.Contains(lines[1], " TOP ") {
+		t.Errorf("TOP shown above the scan:\n%s", plan.Text())
+	}
+	// Without a LIMIT the scan keeps every row.
+	if scan := mustPlan(t, e, "SELECT objid, r FROM tag ORDER BY r").Describe().Children[0]; scan.Limit != 0 || scan.OrderBy != "" {
+		t.Errorf("unlimited ORDER BY scan = limit %d by %q, want no top-N", scan.Limit, scan.OrderBy)
 	}
 
 	// No spatial predicate → no index.

@@ -755,6 +755,16 @@ func TestJoinPlanShape(t *testing.T) {
 	if text := plan.Text(); !strings.Contains(text, "HASH-JOIN") || !strings.Contains(text, "SCAN photoobj") {
 		t.Errorf("explain text:\n%s", text)
 	}
+	// ORDER BY … LIMIT over a join sorts the whole join: neither side's
+	// scan keeps a top-N.
+	for _, side := range j.Children {
+		if side.Limit != 0 || side.OrderBy != "" {
+			t.Errorf("join side %s carries a top-N pushdown: limit %d by %q", side.Table, side.Limit, side.OrderBy)
+		}
+	}
+	if text := plan.Text(); strings.Contains(text, " TOP ") {
+		t.Errorf("join plan shows a top-N pushdown:\n%s", text)
+	}
 
 	n := mustPlan(t, e, "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 2) WHERE a.objid < b.objid").Describe()
 	if n.Op != "neighbor-join" || n.RadiusArcmin != 2 || len(n.Children) != 2 {

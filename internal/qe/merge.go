@@ -4,7 +4,10 @@
 //
 //   - runSort implements ORDER BY: it drains the stream and sorts it by the
 //     (key, objid, values) total order of sortLess, so the output is
-//     deterministic and identical at every shard and worker count.
+//     deterministic and identical at every shard and worker count. Under
+//     ORDER BY … LIMIT N over a scan, the stream is each scan worker's
+//     top-N heap under the same order (topN in scan.go), so the sort sees
+//     at most workers × N rows and still answers exactly.
 //   - runAggregate folds a single (join) stream into the one-row result;
 //     leaf scans push the same fold onto the pool per container instead
 //     (scanFold in morsel.go) and combine partials in container order:
@@ -71,7 +74,8 @@ func sortLess(a, b *Result, keyIdx int, desc bool) bool {
 // results can be sent further up the tree"), orders it by sortLess on the
 // hidden sort key at keyIdx of each row's values, and re-emits it as
 // batch-sized windows over the one sorted slice, stripping the hidden key
-// from each row on the way out.
+// from each row on the way out. Under a LIMIT over a scan, "complete" is
+// the scan workers' top-N heaps, not the table.
 func (e *Engine) runSort(ctx context.Context, keyIdx int, desc bool, in <-chan Batch, rows *Rows) <-chan Batch {
 	out := make(chan Batch, 4)
 	go func() {

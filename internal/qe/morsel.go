@@ -280,7 +280,9 @@ type scanMode int
 const (
 	// scanStream gathers every morsel's batches into one bounded MPSC
 	// channel — the ASAP path every row consumer reads, the sort stage
-	// included.
+	// included. A top-N scan (scanOp.topN) rides it too: its workers emit
+	// nothing while the job runs, and finish sends each worker's heap
+	// where it would flush a batch remainder.
 	scanStream scanMode = iota
 	// scanFold computes per-container aggregate partials and combines them
 	// in container order — the aggregate pushdown.
@@ -465,12 +467,16 @@ func (j *scanJob) runUnit(u unit) {
 }
 
 // finish completes the job once every unit ran: flush worker remainders
-// (stream mode keeps rows batched across morsels), fold the pool counters
-// into the plan stats, and close or emit the output. It runs on its own
-// goroutine, never on a pool slot.
+// (stream mode keeps rows batched across morsels) or, for a top-N scan,
+// send each worker's heap; fold the pool counters into the plan stats; and
+// close or emit the output. A job cut off mid-scan sends nothing more —
+// a partial heap is not an answer. It runs on its own goroutine, never on
+// a pool slot.
 func (j *scanJob) finish(steals int64) {
 	st := j.op.stats
-	if j.mode == scanStream {
+	if j.mode == scanStream && j.ctx.Err() != nil {
+		j.rows.interrupted.Store(true)
+	} else if j.mode == scanStream {
 		for _, w := range j.all {
 			w.emit = func(b Batch) bool {
 				select {
@@ -481,7 +487,13 @@ func (j *scanJob) finish(steals int64) {
 					return false
 				}
 			}
-			if !w.flush() {
+			var ok bool
+			if w.top != nil {
+				ok = len(w.top.rows) == 0 || w.emit(w.top.rows)
+			} else {
+				ok = w.flush()
+			}
+			if !ok {
 				break
 			}
 		}

@@ -70,9 +70,12 @@ type OpNode struct {
 	// wide radii, deepened for dense build sides).
 	PartitionDepth int    `json:"partition_depth,omitempty"`
 	Agg            string `json:"agg,omitempty"`
-	OrderBy        string `json:"order_by,omitempty"`
-	Desc           bool   `json:"desc,omitempty"`
-	Limit          int    `json:"limit,omitempty"`
+	// OrderBy and Desc are a sort's key and direction. Limit caps a limit
+	// node's rows; on a scan, with OrderBy and Desc, it marks the top-N
+	// pushdown (each worker keeps only its best Limit rows).
+	OrderBy string `json:"order_by,omitempty"`
+	Desc    bool   `json:"desc,omitempty"`
+	Limit   int    `json:"limit,omitempty"`
 	// Shards is a scan's scatter width; Containers its candidate container
 	// count after coverage pruning, ZonePruned how many of those the zone
 	// maps excluded. ContainersPerShard counts the containers the scan reads
@@ -233,6 +236,10 @@ func renderOpNode(b *strings.Builder, n *OpNode, depth int) {
 	}
 	if n.Agg != "" {
 		fmt.Fprintf(b, " %s", strings.ToUpper(n.Agg))
+	}
+	if n.Limit > 0 && n.Op != "limit" {
+		// A scan's top-N pushdown: TOP <n> BY <key>.
+		fmt.Fprintf(b, " TOP %d", n.Limit)
 	}
 	if n.OrderBy != "" {
 		fmt.Fprintf(b, " BY %s", n.OrderBy)

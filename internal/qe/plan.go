@@ -139,8 +139,13 @@ func (e *Engine) planSelect(cs *query.CompiledSelect, analyze bool) (Operator, e
 	case cs.Agg != query.AggNone:
 		op = e.newAggOp(cs.Agg, op, cost, analyze)
 	case cs.Order != query.AttrInvalid:
-		op = e.newSortOp(len(cs.Cols), query.AttrName(cs.Table, cs.Order), cs.Desc, op, est, cost, analyze)
+		orderBy := query.AttrName(cs.Table, cs.Order)
+		op = e.newSortOp(len(cs.Cols), orderBy, cs.Desc, op, est, cost, analyze)
 		if cs.Limit > 0 {
+			// Top-N pushdown: every scan worker keeps only its best Limit
+			// rows, so the sort receives at most workers × Limit.
+			leaf.topN = cs.Limit
+			leaf.info.Limit, leaf.info.OrderBy, leaf.info.Desc = cs.Limit, orderBy, cs.Desc
 			op = e.newLimitOp(cs.Limit, op, est, cost, analyze)
 		}
 	case cs.Limit > 0:
@@ -335,6 +340,10 @@ type scanOp struct {
 	// morsels is the scan chunked into container runs of ~morselRows
 	// records each, computed once at plan time.
 	morsels [][]htm.ID
+	// topN, when positive, is the LIMIT of the ORDER BY this scan feeds:
+	// each worker keeps only its best topN rows (scan.go's topN) and emits
+	// them when the job finishes.
+	topN int
 }
 
 // describe adds the two scan facts computed only when EXPLAIN asks: the
@@ -432,7 +441,8 @@ func (o *setOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 }
 
 // sortOp is ORDER BY: it drains its input's one stream — a scan's gathered
-// morsels or a join's pairs — and emits it sorted (runSort).
+// morsels (each worker's top-N heap under a LIMIT) or a join's pairs — and
+// emits it sorted (runSort).
 type sortOp struct {
 	opBase
 	e      *Engine
@@ -493,13 +503,9 @@ type limitOp struct {
 }
 
 func (e *Engine) newLimitOp(n int, in Operator, est, cost float64, analyze bool) *limitOp {
-	//lint:skylint-ignore nansafe row-count estimate clamp; a NaN estimate stays NaN and only affects costing
-	if est > float64(n) {
-		est = float64(n)
-	}
 	op := &limitOp{e: e, n: n, in: in}
 	op.opBase = opBase{
-		info:     OpNode{Op: "limit", Limit: n, EstRows: est, EstCost: cost},
+		info:     OpNode{Op: "limit", Limit: n, EstRows: min(est, float64(n)), EstCost: cost},
 		stats:    newStats(analyze),
 		children: []Operator{in},
 	}

@@ -34,6 +34,9 @@ type scanWorker struct {
 	// aggregate fold): nothing else ever sees the batch, so flush refills
 	// the same batch and value array instead of allocating new ones.
 	reuse bool
+	// top is the bounded top-N of an ORDER BY … LIMIT scan: survivors go
+	// into it instead of the batch, and the job emits it when it finishes.
+	top *topN
 }
 
 // initialFlushAt is the first-batch size of the emit ramp: the first batch
@@ -80,9 +83,11 @@ func (w *scanWorker) fresh() {
 // then the branch-free range filters and the coverage test on the decoded
 // HTM column build a selection vector, and only survivors materialize —
 // from keys for stored attributes, through the column getter for derived
-// ones and any residual predicate. It returns the number of records
-// examined and whether the worker should continue: false means an emit
-// was refused because the stream was cut off.
+// ones and any residual predicate. A top-N worker whose heap is full reads
+// a survivor's sort key first and drops it, unchecked and unmaterialized,
+// when the key is strictly worse than the heap's worst. It returns the
+// number of records examined and whether the worker should continue:
+// false means an emit was refused because the stream was cut off.
 func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 	kp := w.sp.kernel
 	if count == 0 {
@@ -146,22 +151,27 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 		}
 	}
 	w.outKeys = outKeys
+	top := w.top
 	for _, si := range sel[:n] {
 		i := int(si)
 		w.cols.Seek(i)
+		// Only a strictly worse key is decided here: a tie with the worst
+		// kept row goes on to the full (key, objid, values) comparison.
+		if top != nil && top.full() && top.worse(w.sortKey(i)) {
+			continue
+		}
 		if !kp.exact && w.cs.Pred != nil && !w.cs.Pred(w.getter) {
 			continue
 		}
 		res := Result{ObjID: catalog.ObjID(objKeys[i]), Key: htm.ID(htmKeys[i])}
+		if top != nil {
+			res.Values = w.appendValues(top.slot(), i)
+			top.offer(res)
+			continue
+		}
 		if w.sp.width > 0 {
 			start := len(w.vals)
-			for oi, oc := range kp.outs {
-				if oc.stored {
-					w.vals = append(w.vals, oc.kind.Value(outKeys[oi][i]))
-				} else {
-					w.vals = append(w.vals, w.getter(oc.attr))
-				}
-			}
+			w.vals = w.appendValues(w.vals, i)
 			res.Values = w.vals[start:len(w.vals):len(w.vals)]
 		}
 		w.batch = append(w.batch, res)
@@ -172,11 +182,37 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 	return count, true
 }
 
+// appendValues appends survivor i's output values — the projection, then
+// the hidden columns — to dst. The column getter must be at record i.
+func (w *scanWorker) appendValues(dst []float64, i int) []float64 {
+	for oi, oc := range w.sp.kernel.outs {
+		if oc.stored {
+			dst = append(dst, oc.kind.Value(w.outKeys[oi][i]))
+		} else {
+			dst = append(dst, w.getter(oc.attr))
+		}
+	}
+	return dst
+}
+
+// sortKey reads survivor i's ORDER BY key without materializing the row:
+// from the decoded key column for a stored attribute, through the column
+// getter (at record i) for a derived one — the value appendValues would
+// put in the hidden key slot.
+func (w *scanWorker) sortKey(i int) float64 {
+	oc := &w.sp.kernel.outs[w.top.keyIdx]
+	if oc.stored {
+		return oc.kind.Value(w.outKeys[w.top.keyIdx][i])
+	}
+	return w.getter(oc.attr)
+}
+
 // newScanWorker builds one scan worker for a leaf scan job: the column
-// reader, its getter, and the first batch. Values of all a batch's results
-// are carved out of one backing array sized for a full batch, so the
-// per-record path allocates nothing. The worker's emit is bound per morsel
-// by the scheduler; reuse is set by a job whose emit is the aggregate fold.
+// reader, its getter, and the first batch — or, for a top-N scan, its
+// empty heap instead. Values of all a batch's results are carved out of
+// one backing array sized for a full batch, so the per-record path
+// allocates nothing. The worker's emit is bound per morsel by the
+// scheduler; reuse is set by a job whose emit is the aggregate fold.
 func newScanWorker(e *Engine, o *scanOp, reuse bool) *scanWorker {
 	bs := e.batchSize()
 	reader := colblk.NewReader()
@@ -186,6 +222,101 @@ func newScanWorker(e *Engine, o *scanOp, reuse bool) *scanWorker {
 		reader: reader, cols: cols, getter: cols.Get,
 		bs: bs, flushAt: min(initialFlushAt, bs), reuse: reuse,
 	}
+	if o.topN > 0 {
+		w.top = &topN{n: o.topN, keyIdx: len(o.cs.Cols), desc: o.cs.Desc, width: o.plan.width, chunk: bs}
+		return w
+	}
 	w.fresh()
 	return w
+}
+
+// topN is one scan worker's bounded top-N: the best n rows it has seen
+// under sortLess. While it fills, rows are only appended; at n rows it
+// heapifies into a max-heap whose root is the worst kept row, and from
+// then on a candidate either replaces the root or is dropped. sortLess is
+// a total order, so the union of every worker's heap holds the global best
+// n whatever rows each worker saw: the sort above gets at most workers × n
+// rows and answers exactly as if it had sorted the table.
+//
+// Every kept row owns a fixed slot of width values. A full heap
+// materializes candidates into a spare slot and swaps it with the root's
+// on replacement, so replacing allocates nothing; a filling heap carves
+// fresh slots from chunks of at most chunk rows, never more than n in all
+// (the parser accepts LIMIT 2000000000).
+type topN struct {
+	n, keyIdx int
+	desc      bool
+	width     int
+	chunk     int
+	rows      []Result
+	free      []float64 // unused tail of the current slot chunk
+	spare     []float64 // a full heap's candidate slot
+}
+
+func (t *topN) full() bool { return len(t.rows) >= t.n }
+
+// worse reports whether a sort key is strictly worse than the worst kept
+// row's: such a row cannot enter the heap, whatever its objid and values.
+func (t *topN) worse(key float64) bool {
+	c := keyCompare(key, t.rows[0].Values[t.keyIdx])
+	if t.desc {
+		return c < 0
+	}
+	return c > 0
+}
+
+// slot returns the empty value slot the next candidate materializes into.
+func (t *topN) slot() []float64 {
+	if t.full() {
+		if t.spare == nil {
+			t.spare = make([]float64, 0, t.width)
+		}
+		return t.spare[:0]
+	}
+	if len(t.free) < t.width {
+		rows := min(t.n-len(t.rows), t.chunk)
+		t.free = make([]float64, rows*t.width)
+	}
+	s := t.free[:0:t.width]
+	t.free = t.free[t.width:]
+	return s
+}
+
+// offer admits a candidate whose values fill the slot slot() returned.
+func (t *topN) offer(r Result) {
+	if !t.full() {
+		t.rows = append(t.rows, r)
+		if t.full() {
+			for i := len(t.rows)/2 - 1; i >= 0; i-- {
+				t.down(i)
+			}
+		}
+		return
+	}
+	root := &t.rows[0]
+	if !sortLess(&r, root, t.keyIdx, t.desc) {
+		return
+	}
+	t.spare = root.Values
+	*root = r
+	t.down(0)
+}
+
+// down restores the max-heap below row i.
+func (t *topN) down(i int) {
+	rows := t.rows
+	for {
+		m := i
+		if l := 2*i + 1; l < len(rows) && sortLess(&rows[m], &rows[l], t.keyIdx, t.desc) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(rows) && sortLess(&rows[m], &rows[r], t.keyIdx, t.desc) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		rows[i], rows[m] = rows[m], rows[i]
+		i = m
+	}
 }

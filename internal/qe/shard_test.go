@@ -259,14 +259,18 @@ func TestRowsCloseRaceAcrossShardProducers(t *testing.T) {
 }
 
 // BenchmarkOrderBy times plan + execute + collect of whole-table tag sorts
-// — a top-100 and an unlimited ORDER BY — on the bench-density archive at
-// one and eight shards.
+// — top-N at N = 100 and 1, a descending top-100, a top-100 behind a
+// residual predicate (the key check runs before it), and an unlimited
+// ORDER BY — on the bench-density archive at one and eight shards.
 func BenchmarkOrderBy(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		e, _ := coverArchive(b, 50000, 1, 4, shards)
 		benchQueries(b, e, fmt.Sprintf("shards=%d/", shards), []struct{ name, q string }{
 			{"top100", "SELECT objid, r FROM tag ORDER BY r LIMIT 100"},
 			{"all", "SELECT objid, r FROM tag ORDER BY r"},
+			{"top1", "SELECT objid, r FROM tag ORDER BY r LIMIT 1"},
+			{"top100desc", "SELECT objid, r FROM tag ORDER BY r DESC LIMIT 100"},
+			{"residual_top100", "SELECT objid, r FROM tag WHERE g - r > 0.3 ORDER BY r LIMIT 100"},
 		})
 	}
 }
