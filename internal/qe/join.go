@@ -289,10 +289,7 @@ func (p *pairEmitter) flush(ctx context.Context) bool {
 	if len(p.batch) == 0 {
 		return true
 	}
-	select {
-	case p.out <- p.batch:
-	case <-ctx.Done():
-		p.rows.interrupted.Store(true)
+	if !p.rows.send(ctx, p.out, p.batch) {
 		return false
 	}
 	p.fresh()
@@ -300,17 +297,13 @@ func (p *pairEmitter) flush(ctx context.Context) bool {
 }
 
 // drainCollect drains a stream into one slice. It reports false when the
-// context fired mid-drain.
+// context fired mid-drain: whatever arrived is not the whole input.
 func drainCollect(ctx context.Context, in <-chan Batch, rows *Rows) ([]Result, bool) {
 	var all []Result
 	for b := range in {
 		all = append(all, b...)
 	}
-	if ctx.Err() != nil {
-		rows.interrupted.Store(true)
-		return all, false
-	}
-	return all, true
+	return all, !rows.stop(ctx)
 }
 
 // hashJoinOp executes the equi-join.
@@ -436,8 +429,7 @@ func (o *hashJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 			return floatKey(built[i].Values[buildKey])
 		}
 		ht := o.e.buildHashTable(ctx, built, buildKeyOf)
-		if ctx.Err() != nil {
-			rows.interrupted.Store(true)
+		if rows.stop(ctx) {
 			return
 		}
 		if o.stats != nil {
@@ -544,8 +536,7 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 				built = append(built, b[k])
 			}
 		}
-		if ctx.Err() != nil {
-			rows.interrupted.Store(true)
+		if rows.stop(ctx) {
 			return
 		}
 		idx.Finish(o.e.workers())
@@ -556,8 +547,7 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		probe := probeOp.open(ctx, rows)
 		em := newPairEmitter(o.e, cj, rows, out)
 		for b := range probe {
-			if ctx.Err() != nil {
-				rows.interrupted.Store(true)
+			if rows.stop(ctx) {
 				for range probe {
 				}
 				return
@@ -580,8 +570,6 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 					rows.setErr(err)
 				}
 				if err != nil || !cont {
-					// On !cont the emitter stopped: the context fired and
-					// rows.interrupted is already marked.
 					for range probe {
 					}
 					return

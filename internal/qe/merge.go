@@ -80,13 +80,8 @@ func (e *Engine) runSort(ctx context.Context, keyIdx int, desc bool, in <-chan B
 	out := make(chan Batch, 4)
 	go func() {
 		defer close(out)
-		var all []Result
-		for b := range in {
-			all = append(all, b...)
-		}
-		if ctx.Err() != nil {
-			// The input was cut off: whatever arrived is not the whole set.
-			rows.interrupted.Store(true)
+		all, ok := drainCollect(ctx, in, rows)
+		if !ok {
 			return
 		}
 		sort.Slice(all, func(i, j int) bool {
@@ -101,10 +96,7 @@ func (e *Engine) runSort(ctx context.Context, keyIdx int, desc bool, in <-chan B
 			for i := range win {
 				win[i].Values = win[i].Values[:keyIdx]
 			}
-			select {
-			case out <- win:
-			case <-ctx.Done():
-				rows.interrupted.Store(true)
+			if !rows.send(ctx, out, win) {
 				return
 			}
 		}
@@ -198,11 +190,7 @@ func (e *Engine) runAggregate(ctx context.Context, agg query.AggFunc, in <-chan 
 				p.fold(agg, &b[i])
 			}
 		}
-		select {
-		case out <- Batch{{Values: []float64{p.final(agg)}}}:
-		case <-ctx.Done():
-			rows.interrupted.Store(true)
-		}
+		rows.send(ctx, out, Batch{{Values: []float64{p.final(agg)}}})
 	}()
 	return out
 }

@@ -389,17 +389,7 @@ func (j *scanJob) emitTo(out chan Batch) func(Batch) bool {
 			return true
 		default:
 		}
-		send := func() bool {
-			select {
-			case out <- b:
-				return true
-			case <-j.ctx.Done():
-				// The batch is dropped: the stream was cut off
-				// mid-production.
-				j.rows.interrupted.Store(true)
-				return false
-			}
-		}
+		send := func() bool { return j.rows.send(j.ctx, out, b) }
 		if j.pooled {
 			return j.e.getPool().blockingSend(send)
 		}
@@ -411,8 +401,7 @@ func (j *scanJob) emitTo(out chan Batch) func(Batch) bool {
 // the job's mode, and scan the container run, reading each container from
 // its owning slice.
 func (j *scanJob) runUnit(u unit) {
-	if j.ctx.Err() != nil {
-		j.rows.interrupted.Store(true)
+	if j.rows.stop(j.ctx) {
 		return
 	}
 	w := j.getWorker()
@@ -421,8 +410,7 @@ func (j *scanJob) runUnit(u unit) {
 
 	if j.mode == scanFold {
 		for _, cid := range u.cids {
-			if j.ctx.Err() != nil {
-				j.rows.interrupted.Store(true)
+			if j.rows.stop(j.ctx) {
 				return
 			}
 			var p aggPartial
@@ -450,8 +438,7 @@ func (j *scanJob) runUnit(u unit) {
 
 	w.emit = j.emitTo(j.out)
 	for _, cid := range u.cids {
-		if j.ctx.Err() != nil {
-			j.rows.interrupted.Store(true)
+		if j.rows.stop(j.ctx) {
 			return
 		}
 		_, count, slab := j.op.st.ColumnData(cid)
@@ -460,8 +447,7 @@ func (j *scanJob) runUnit(u unit) {
 			st.rowsIn.Add(int64(examined))
 		}
 		if !ok {
-			j.rows.interrupted.Store(true)
-			return
+			return // the refused emit marked the cut
 		}
 	}
 }
@@ -474,19 +460,10 @@ func (j *scanJob) runUnit(u unit) {
 // a pool slot.
 func (j *scanJob) finish(steals int64) {
 	st := j.op.stats
-	if j.mode == scanStream && j.ctx.Err() != nil {
-		j.rows.interrupted.Store(true)
-	} else if j.mode == scanStream {
+	if j.mode == scanStream && !j.rows.stop(j.ctx) {
+		send := func(b Batch) bool { return j.rows.send(j.ctx, j.out, b) }
 		for _, w := range j.all {
-			w.emit = func(b Batch) bool {
-				select {
-				case j.out <- b:
-					return true
-				case <-j.ctx.Done():
-					j.rows.interrupted.Store(true)
-					return false
-				}
-			}
+			w.emit = send
 			var ok bool
 			if w.top != nil {
 				ok = len(w.top.rows) == 0 || w.emit(w.top.rows)
@@ -525,9 +502,5 @@ func (j *scanJob) finishFold() {
 	for i := range j.folds {
 		total.combine(j.folds[i].p)
 	}
-	select {
-	case j.out <- Batch{{Values: []float64{total.final(j.agg)}}}:
-	case <-j.ctx.Done():
-		j.rows.interrupted.Store(true)
-	}
+	j.rows.send(j.ctx, j.out, Batch{{Values: []float64{total.final(j.agg)}}})
 }

@@ -173,10 +173,36 @@ type Rows struct {
 	errMu     sync.Mutex
 	err       error
 	truncated bool
-	// interrupted is set by tree nodes that stop mid-production because
+	// interrupted records that a tree node stopped mid-production because
 	// the context fired; it distinguishes a timed-out stream from one
-	// whose deadline lapsed only after every row was delivered.
+	// whose deadline lapsed only after every row was delivered. Rows.send
+	// and Rows.stop are its only writers: every producer sends and stops
+	// through them.
 	interrupted atomic.Bool
+}
+
+// send delivers b on out, or marks the stream interrupted and reports false
+// when the context fires first: the batch in hand is dropped, so the
+// stream was cut off mid-production.
+func (r *Rows) send(ctx context.Context, out chan<- Batch, b Batch) bool {
+	select {
+	case out <- b:
+		return true
+	case <-ctx.Done():
+		r.interrupted.Store(true)
+		return false
+	}
+}
+
+// stop reports whether the context is done, marking the stream interrupted
+// if so: a producer that checks it before emitting (or after draining an
+// input that may have been cut short) abandons an incomplete answer.
+func (r *Rows) stop(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		r.interrupted.Store(true)
+		return true
+	}
+	return false
 }
 
 func (r *Rows) setErr(err error) {
@@ -290,24 +316,6 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 	go func() {
 		defer close(done)
 		defer close(final)
-		drain := func() {
-			cancel()
-			for range out {
-			}
-		}
-		// markTimeout records ErrTimeout only when the deadline lapsed
-		// AND a tree node was actually cut off mid-production: a deadline
-		// that expires just after the tree delivered everything is not a
-		// timeout.
-		markTimeout := func() {
-			if timedOut != nil && timedOut() && rows.interrupted.Load() {
-				rows.errMu.Lock()
-				if rows.err == nil {
-					rows.err = ErrTimeout
-				}
-				rows.errMu.Unlock()
-			}
-		}
 		skip, remaining := opts.Offset, opts.Limit
 		for b := range out {
 			if skip > 0 {
@@ -318,49 +326,36 @@ func (e *Engine) ExecutePlan(ctx context.Context, plan *ExecPlan, opts ExecOptio
 				b = b[skip:]
 				skip = 0
 			}
-			if opts.Limit > 0 {
-				if remaining == 0 {
-					// A row arrived past the cap: the limit truncated
-					// a still-producing stream.
-					rows.errMu.Lock()
-					rows.truncated = true
-					rows.errMu.Unlock()
-					drain()
-					return
+			if opts.Limit > 0 && len(b) > remaining {
+				// Rows arrived past the cap: the limit truncated a
+				// still-producing stream. Deliver what fits, then stop.
+				rows.errMu.Lock()
+				rows.truncated = true
+				rows.errMu.Unlock()
+				if remaining > 0 {
+					rows.send(ctx, final, b[:remaining])
 				}
-				if len(b) > remaining {
-					b = b[:remaining]
-					rows.errMu.Lock()
-					rows.truncated = true
-					rows.errMu.Unlock()
-					remaining = 0
-					// Deliver the clipped batch, then stop.
-					select {
-					case final <- b:
-					case <-ctx.Done():
-						// The clipped batch is dropped: mark the stream so
-						// Err() surfaces the timeout instead of reporting a
-						// silently shortened result.
-						rows.interrupted.Store(true)
-					}
-					drain()
-					return
-				}
-				remaining -= len(b)
+				break
 			}
-			select {
-			case final <- b:
-			case <-ctx.Done():
-				// A produced batch is dropped here: without the mark,
-				// markTimeout would see an "uninterrupted" stream and the
-				// partial result would pass for complete.
-				rows.interrupted.Store(true)
-				drain()
-				markTimeout()
-				return
+			remaining -= len(b)
+			if !rows.send(ctx, final, b) {
+				break
 			}
 		}
-		markTimeout()
+		// The one exit: stop and drain the tree, then record ErrTimeout
+		// only when the deadline lapsed AND some node was actually cut off
+		// mid-production — a deadline that expires just after the tree
+		// delivered everything is not a timeout.
+		cancel()
+		for range out {
+		}
+		if timedOut != nil && timedOut() && rows.interrupted.Load() {
+			rows.errMu.Lock()
+			if rows.err == nil {
+				rows.err = ErrTimeout
+			}
+			rows.errMu.Unlock()
+		}
 	}()
 	return rows, nil
 }
@@ -410,10 +405,7 @@ func (e *Engine) runUnion(ctx context.Context, left, right <-chan Batch, rows *R
 				if len(filtered) == 0 {
 					continue
 				}
-				select {
-				case out <- filtered:
-				case <-ctx.Done():
-					rows.interrupted.Store(true)
+				if !rows.send(ctx, out, filtered) {
 					for range in {
 					}
 					return
@@ -444,8 +436,7 @@ func (e *Engine) runIntersect(ctx context.Context, left <-chan Batch, openRight 
 				inLeft[r.ObjID] = struct{}{}
 			}
 		}
-		if ctx.Err() != nil {
-			rows.interrupted.Store(true)
+		if rows.stop(ctx) {
 			return
 		}
 		right := openRight()
@@ -465,10 +456,7 @@ func (e *Engine) runIntersect(ctx context.Context, left <-chan Batch, openRight 
 			if len(keep) == 0 {
 				continue
 			}
-			select {
-			case out <- keep:
-			case <-ctx.Done():
-				rows.interrupted.Store(true)
+			if !rows.send(ctx, out, keep) {
 				for range right {
 				}
 				return
@@ -491,8 +479,7 @@ func (e *Engine) runMinus(ctx context.Context, openLeft func() <-chan Batch, rig
 				sub[r.ObjID] = struct{}{}
 			}
 		}
-		if ctx.Err() != nil {
-			rows.interrupted.Store(true)
+		if rows.stop(ctx) {
 			return
 		}
 		left := openLeft()
@@ -512,10 +499,7 @@ func (e *Engine) runMinus(ctx context.Context, openLeft func() <-chan Batch, rig
 			if len(keep) == 0 {
 				continue
 			}
-			select {
-			case out <- keep:
-			case <-ctx.Done():
-				rows.interrupted.Store(true)
+			if !rows.send(ctx, out, keep) {
 				for range left {
 				}
 				return
@@ -542,15 +526,7 @@ func (e *Engine) runLimit(ctx context.Context, n int, in <-chan Batch, rows *Row
 				b = b[:remaining]
 			}
 			remaining -= len(b)
-			select {
-			case out <- b:
-			case <-ctx.Done():
-				// The batch in hand is dropped: the stream was cut off
-				// mid-production.
-				rows.interrupted.Store(true)
-				return
-			}
-			if remaining == 0 {
+			if !rows.send(ctx, out, b) || remaining == 0 {
 				return
 			}
 		}
