@@ -24,14 +24,15 @@ race:
 	go test -race ./...
 
 # skylint is the project's own analyzer suite (cmd/skylint): raw record
-# offsets, NaN-safe comparisons, interrupted marks, cancellable fan-out,
-# and the morsel-pool concurrency invariants (slotheld, lockheld). Copies of qe.Engine are left to stock vet's
-# copylocks check (the `vet` target). Both drivers run: the standalone
-# loader, which reads/writes function-summary artifacts under
-# $(BIN)/lintsum so partial re-runs stay interprocedural, and
-# `go vet -vettool`, whose findings carry the same package scoping and
-# exit behavior as the rest of vet (summaries ride the .vetx facts files
-# there).
+# offsets, NaN-safe comparisons, cancellable fan-out, and the morsel-pool
+# concurrency invariants (slotheld, lockheld). The qe cut contract is held
+# by construction and checked by a qe test (TestCutMarksOnlyInHelpers).
+# Copies of qe.Engine are left to stock vet's copylocks check (the `vet`
+# target). Both drivers run: the standalone loader, which reads/writes
+# function-summary artifacts under $(BIN)/lintsum so partial re-runs stay
+# interprocedural, and `go vet -vettool`, whose findings carry the same
+# package scoping and exit behavior as the rest of vet (summaries ride the
+# .vetx facts files there).
 skylint: $(BIN)/skylint
 	$(BIN)/skylint -sumdir $(BIN)/lintsum ./...
 	go vet -vettool=$(BIN)/skylint ./...
@@ -41,18 +42,20 @@ $(BIN)/skylint: FORCE
 
 FORCE:
 
-# The analyzers' own fixture tests (analysistest-style).
+# The analyzers' own fixture tests (analysistest-style), and the check that
+# skylint-violations names every registered analyzer.
 skylint-test:
-	go test ./internal/lint/...
+	go test ./internal/lint/... ./cmd/skylint
 
 # Deliberate-violation guard: each analyzer must exit 1 on its seeded-bug
 # fixture, proving the suite still detects what it claims to. The fixture
 # trees are GOPATH-shaped (testdata/src/a may import a sibling package b),
 # so the standalone driver runs in GOPATH mode rooted at each testdata
 # dir — which also exercises cross-package summary import through the real
-# binary for the fixtures that split across a and b.
+# binary for the fixtures that split across a and b. A cmd/skylint test
+# keeps the spec list equal to the registered analyzers.
 skylint-violations: $(BIN)/skylint
-	@for spec in ctxcancel:a dropmark:qe nansafe:qe rawoffset:a \
+	@for spec in ctxcancel:a nansafe:qe rawoffset:a \
 			slotheld:a lockheld:a; do \
 		name=$${spec%%:*}; pkg=$${spec##*:}; \
 		t=$(CURDIR)/internal/lint/$$name/testdata; \
@@ -90,7 +93,7 @@ fmt-check:
 lint: skylint staticcheck govulncheck
 
 # The offline gate: formatting, vet (whose copylocks check rejects any
-# by-value copy of qe.Engine), build, the six skylint analyzers with their
+# by-value copy of qe.Engine), build, the five skylint analyzers with their
 # fixture and deliberate-violation checks, and `go test ./...` — which also
 # runs the end-to-end benchmark's smoke test in bench/. CI runs these plus
 # the steps that need no target here: the race detector, the query engine

@@ -1,5 +1,5 @@
 // Command skylint is the archive's project-specific static-analysis suite:
-// six analyzers that mechanically enforce the engine's convention-only
+// five analyzers that mechanically enforce the engine's convention-only
 // invariants, from raw record offsets to the morsel pool's deadlock
 // discipline. Copies of qe.Engine need no analyzer of their own: the
 // engine holds a sync.Once, so stock `go vet` (copylocks) rejects them.
@@ -11,10 +11,6 @@
 //	nansafe     attribute/sort-key float comparisons use the NaN-aware
 //	            comparators; test entry points are exempt, shared test
 //	            helpers are not.
-//	dropmark    mid-production drop points set rows.interrupted before
-//	            abandoning the stream: the Done case of a select that
-//	            sends a batch, and a context-error early return in code
-//	            that handles batches.
 //	ctxcancel   goroutine fan-out sends select on a cancellation signal;
 //	            named-function spawns and calls inside spawned literals are
 //	            judged by their summaries, and sends provably buffered to

@@ -9,7 +9,6 @@ import (
 
 	"sdss/internal/lint/analysis"
 	"sdss/internal/lint/ctxcancel"
-	"sdss/internal/lint/dropmark"
 	"sdss/internal/lint/lockheld"
 	"sdss/internal/lint/nansafe"
 	"sdss/internal/lint/rawoffset"
@@ -20,7 +19,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	rawoffset.Analyzer,
 	nansafe.Analyzer,
-	dropmark.Analyzer,
 	ctxcancel.Analyzer,
 	slotheld.Analyzer,
 	lockheld.Analyzer,

@@ -179,7 +179,8 @@ func (p *aggPartial) final(agg query.AggFunc) float64 {
 
 // runAggregate folds one input stream into the single result row — the
 // non-leaf aggregate path (a join input). Aggregation is inherently
-// blocking: the input must finish before the row exists.
+// blocking: the input must finish before the row exists, and an input cut
+// short by the context yields no row.
 func (e *Engine) runAggregate(ctx context.Context, agg query.AggFunc, in <-chan Batch, rows *Rows) <-chan Batch {
 	out := make(chan Batch, 1)
 	go func() {
@@ -189,6 +190,9 @@ func (e *Engine) runAggregate(ctx context.Context, agg query.AggFunc, in <-chan 
 			for i := range b {
 				p.fold(agg, &b[i])
 			}
+		}
+		if rows.stop(ctx) {
+			return
 		}
 		rows.send(ctx, out, Batch{{Values: []float64{p.final(agg)}}})
 	}()

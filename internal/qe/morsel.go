@@ -456,8 +456,8 @@ func (j *scanJob) runUnit(u unit) {
 // (stream mode keeps rows batched across morsels) or, for a top-N scan,
 // send each worker's heap; fold the pool counters into the plan stats; and
 // close or emit the output. A job cut off mid-scan sends nothing more —
-// a partial heap is not an answer. It runs on its own goroutine, never on
-// a pool slot.
+// neither a partial heap nor a partial fold is an answer. It runs on its
+// own goroutine, never on a pool slot.
 func (j *scanJob) finish(steals int64) {
 	st := j.op.stats
 	if j.mode == scanStream && !j.rows.stop(j.ctx) {
@@ -494,9 +494,13 @@ func (j *scanJob) finish(steals int64) {
 
 // finishFold combines the per-container partials in container-ID order and
 // emits the single aggregate row. An empty fold set still answers (COUNT
-// of nothing is 0), matching the stream aggregate.
+// of nothing is 0), matching the stream aggregate. A done context means
+// some unit may have skipped its containers, so the row is not sent.
 func (j *scanJob) finishFold() {
 	defer close(j.out)
+	if j.rows.stop(j.ctx) {
+		return
+	}
 	sort.Slice(j.folds, func(a, b int) bool { return j.folds[a].cid < j.folds[b].cid })
 	var total aggPartial
 	for i := range j.folds {
