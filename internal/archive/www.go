@@ -30,7 +30,7 @@ import (
 //	GET  /v1/status             archive holdings + job-queue depth
 //	GET  /v1/tables             schema discovery: tables, columns, types
 //	GET  /v1/query              ?q= &format=json|csv|ndjson &limit= &offset= &timeout=
-//	GET  /v1/explain            ?q= [&analyze=1] → logical QET + physical operator tree
+//	GET  /v1/explain            ?q= [&analyze=1] → physical operator tree
 //	                            (cost-based access paths; analyze adds actual rows/timing)
 //	GET  /v1/cone               ?ra= &dec= &radius= [&table= &cols= &format= ...]
 //	POST /v1/jobs               {"query": "..."} → 202 + job status
@@ -379,22 +379,7 @@ func (w *WWW) serveQuery(rw http.ResponseWriter, req *http.Request, src string, 
 		return
 	}
 	defer rows.Close()
-	switch format {
-	case FormatJSON:
-		// Buffered: collect first so errors can still use a clean status.
-		doc, err := buildJSONDocument(liveSource(rows))
-		if err != nil {
-			jsonError(rw, statusForQueryError(err), "%s", err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, doc)
-	case FormatNDJSON:
-		rw.Header().Set("Content-Type", format.ContentType())
-		writeNDJSON(rw, liveSource(rows))
-	case FormatCSV:
-		rw.Header().Set("Content-Type", format.ContentType())
-		writeCSV(rw, liveSource(rows))
-	}
+	serveRows(rw, format, liveSource(rows))
 }
 
 // statusForQueryError maps execution errors to HTTP statuses.
@@ -473,19 +458,5 @@ func (w *WWW) handleJobRows(rw http.ResponseWriter, req *http.Request) {
 		jsonError(rw, http.StatusConflict, "job %s is %s, not done", id, st.State)
 		return
 	}
-	switch format {
-	case FormatJSON:
-		doc, err := buildJSONDocument(staticSource(cols, results, truncated))
-		if err != nil {
-			jsonError(rw, http.StatusInternalServerError, "%s", err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, doc)
-	case FormatNDJSON:
-		rw.Header().Set("Content-Type", format.ContentType())
-		writeNDJSON(rw, staticSource(cols, results, truncated))
-	case FormatCSV:
-		rw.Header().Set("Content-Type", format.ContentType())
-		writeCSV(rw, staticSource(cols, results, truncated))
-	}
+	serveRows(rw, format, staticSource(cols, results, truncated))
 }
