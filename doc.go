@@ -7,7 +7,7 @@
 // index (internal/htm), the half-space region algebra (internal/region),
 // the container-clustered object store (internal/store), the parallel
 // Query Execution Tree engine with ASAP push (internal/query, internal/qe)
-// and its spatial join index (internal/hashm), the versioned /v1 REST tier
+// and its zones pair index (internal/hashm), the versioned /v1 REST tier
 // (internal/archive), and the assembled public facade (internal/core). The
 // paper's simulated machinery around the archive (the scan and hash
 // machines, the Figure 2 tier pipeline, the experiments) lives under

@@ -123,7 +123,7 @@ func TestV1ExplainCoverDepth(t *testing.T) {
 }
 
 // TestV1ExplainNeighborJoin: a NEIGHBORS query explains as a neighbor-join
-// operator whose JSON carries the planner's chosen partition depth and a
+// operator whose JSON carries its zone height and a
 // non-trivial cardinality estimate — the knobs an operator reads to judge the
 // spatial plan.
 func TestV1ExplainNeighborJoin(t *testing.T) {
@@ -141,8 +141,8 @@ func TestV1ExplainNeighborJoin(t *testing.T) {
 	if phys == nil || phys.Op != "neighbor-join" {
 		t.Fatalf("physical root = %+v", phys)
 	}
-	if phys.PartitionDepth <= 0 {
-		t.Errorf("neighbor-join explain has no partition_depth: %+v", phys)
+	if phys.ZoneHeightArcmin < 0.5 {
+		t.Errorf("neighbor-join explain zone_height_arcmin = %g, want at least the 0.5′ radius: %+v", phys.ZoneHeightArcmin, phys)
 	}
 	if phys.BuildSide == "" {
 		t.Errorf("neighbor-join explain has no build side: %+v", phys)
@@ -150,15 +150,19 @@ func TestV1ExplainNeighborJoin(t *testing.T) {
 	if phys.EstRows <= 1 {
 		t.Errorf("neighbor-join est_rows = %g, want a real pair-density estimate", phys.EstRows)
 	}
-	// The raw JSON must spell the field partition_depth for API clients.
+	// The raw JSON must spell the field zone_height_arcmin for API clients;
+	// the HTM-partitioned join's partition_depth is gone.
 	var raw struct {
 		Physical map[string]json.RawMessage `json:"physical"`
 	}
 	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := raw.Physical["partition_depth"]; !ok {
-		t.Error("explain JSON lacks a partition_depth key on the join operator")
+	if _, ok := raw.Physical["zone_height_arcmin"]; !ok {
+		t.Error("explain JSON lacks a zone_height_arcmin key on the join operator")
+	}
+	if _, ok := raw.Physical["partition_depth"]; ok {
+		t.Error("explain JSON still carries partition_depth on the join operator")
 	}
 }
 

@@ -1,19 +1,16 @@
-// Package hashm is the query engine's spatial join index, built on the
-// hash machine's partition scheme. The NEIGHBORS operator feeds arbitrary
-// result rows through it: each row becomes an Item (identity, unit-sphere
-// position and the caller's row index), the build side is hashed into coarse
-// HTM-trixel partitions with exact margin replication at partition
-// boundaries, and each probe row searches only its home partition — "the
-// spatial analogue of a relational hash-join", as the paper frames it.
+// Package hashm holds the query engine's spatial pair search. Zones
+// (zones.go) is the index the NEIGHBORS join builds: the zones algorithm of
+// Gray, Nieto-Santisteban and Szalay — declination zones of about the
+// radius's height, each sorted by ra, probed by binary-searching the ra
+// window of every zone a probe's circle spans. It needs no spatial index and
+// stores every build row once.
 //
-// Within a partition, candidates are held sorted by their z coordinate
-// (sin declination): a probe binary-searches the declination band
-// [dec-r, dec+r] and distance-tests only the handful of rows inside it —
-// the Gray/Szalay zones algorithm, applied per partition. That replaces the
-// old flat single-depth bucket grid, whose per-item circle coverage at the
-// radius-matched depth was the NEIGHBORS hotspot: partitions sit at the
-// store's container depth, so the boundary margin is a tiny fraction of the
-// items and everything else is one trixel lookup plus a band scan.
+// SpatialIndex (this file) is the HTM-partitioned index the join used
+// before: build rows hashed into coarse trixel partitions with exact margin
+// replication at partition boundaries, each probe searching only its home
+// partition's z band. The engine no longer uses it; it stays, with
+// PartitionDepth and JoinItems, only while the benchmark's hashm probes time
+// it.
 package hashm
 
 import (
@@ -33,9 +30,9 @@ import (
 // the unit sphere, and the caller's row index (carried back in IndexPair).
 // Key, when nonzero, is the item's fine HTM trixel (any depth at or below
 // the partition depth's ancestor chain, e.g. the store's embedded depth-20
-// record key): the index then derives the home partition with a bit shift
-// instead of a root-to-leaf sphere walk — the dominant per-item cost at
-// container-depth partitions. A zero Key falls back to the walk.
+// record key): SpatialIndex then derives the home partition with a bit shift
+// instead of a root-to-leaf sphere walk. A zero Key falls back to the walk;
+// Zones never reads it.
 type Item struct {
 	ID  catalog.ObjID
 	Key htm.ID

@@ -7,13 +7,13 @@
 //     general numeric keys hash their float64 values, with NaN keys dropped
 //     from both sides (NaN equals nothing, so they can never match).
 //
-//   - neighborJoinOp executes FROM NEIGHBORS(a, b, radius) as an
-//     HTM-partitioned spatial hash join (package hashm): the build side
-//     (smaller estimate) hashes into coarse trixel partitions with exact
-//     margin replication as its stream arrives; the probe side then streams
-//     through the index, pairs flowing out as probe batches arrive — "the
-//     spatial analogue of a relational hash-join", exactly as the paper
-//     frames it, without materializing the probe input.
+//   - neighborJoinOp executes FROM NEIGHBORS(a, b, radius) as a zones join
+//     (hashm.Zones, the zones algorithm of Gray, Nieto-Santisteban and
+//     Szalay): the build side (smaller estimate) is drained once, cut into
+//     declination zones of about the radius's height and sorted by ra within
+//     each zone; the probe side then streams through the zones on Workers
+//     goroutines, pairs flowing out as probe batches arrive, without
+//     materializing the probe input.
 //
 // Both operators read each side as the one gathered stream of its leaf
 // scan. The scans' morsels already run in parallel on the engine-wide pool,
@@ -23,20 +23,14 @@ package qe
 import (
 	"context"
 	"math"
+	"sync"
 
-	"sdss/internal/catalog"
 	"sdss/internal/hashm"
 	"sdss/internal/htm"
 	"sdss/internal/query"
 	"sdss/internal/sphere"
 	"sdss/internal/store"
 )
-
-// partitionTargetRows is the build-side rows-per-partition level past which
-// the cost model subdivides neighbor-join partitions below the container
-// depth: the per-probe band scan is linear in partition density, so dense
-// partitions are worth the extra margin replication of a finer grid.
-const partitionTargetRows = 2048
 
 // planJoin plans a two-table leaf: both side scans (each with its own
 // cost-based access path), the join operator with its build side chosen by
@@ -80,29 +74,26 @@ func (e *Engine) planJoin(cj *query.CompiledJoin, analyze bool) (Operator, error
 		}
 		op = j
 	case query.JoinNeighbors:
-		// Build the spatial index on the smaller estimated input, stream
-		// the larger through it.
+		// Build the zones on the smaller estimated input, stream the larger
+		// through them.
 		//lint:skylint-ignore nansafe cost estimates, not attribute values; either build side is correct
 		buildLeft := estL <= estR
 		side := "right"
-		buildScan := right
 		if buildLeft {
 			side = "left"
-			buildScan = left
 		}
-		depth := e.partitionDepth(cj.Radius, buildScan, math.Min(estL, estR))
 		est := e.neighborEstRows(cj, left, right)
-		j := &neighborJoinOp{e: e, cj: cj, buildLeft: buildLeft, depth: depth, left: left, right: right}
+		j := &neighborJoinOp{e: e, cj: cj, buildLeft: buildLeft, left: left, right: right}
 		j.opBase = opBase{
 			info: OpNode{
-				Op:             "neighbor-join",
-				On:             cj.On,
-				RadiusArcmin:   cj.Radius / sphere.Arcmin,
-				BuildSide:      side,
-				PartitionDepth: depth,
-				Filter:         cj.ResidualStr,
-				EstRows:        est,
-				EstCost:        cost + estL + estR + est,
+				Op:               "neighbor-join",
+				On:               cj.On,
+				RadiusArcmin:     cj.Radius / sphere.Arcmin,
+				BuildSide:        side,
+				ZoneHeightArcmin: hashm.ZoneHeight(cj.Radius, int(min(estL, estR, math.MaxInt32))) / sphere.Arcmin,
+				Filter:           cj.ResidualStr,
+				EstRows:          est,
+				EstCost:          cost + estL + estR + est,
 			},
 			stats:    newStats(analyze),
 			children: []Operator{left, right},
@@ -127,27 +118,6 @@ func (e *Engine) planJoin(cj *query.CompiledJoin, analyze bool) (Operator, error
 		op = e.newLimitOp(cj.Limit, op, est, est, analyze)
 	}
 	return op, nil
-}
-
-// partitionDepth chooses the neighbor join's partition depth: the store's
-// container depth (hashm coarsens it for wide radii so margin replication
-// stays a boundary effect), then subdivided while the build side would
-// average more than partitionTargetRows rows per partition and the finer
-// trixels still comfortably exceed the radius — the cost trade between band
-// scans (linear in partition density) and margin replication.
-func (e *Engine) partitionDepth(radius float64, buildScan *scanOp, buildEst float64) int {
-	cd := buildScan.st.ContainerDepth()
-	depth := hashm.PartitionDepth(cd, radius)
-	nCont := len(buildScan.containers)
-	//lint:skylint-ignore nansafe geometric depth heuristic; radius is validated finite and TrixelAngle is a positive constant per depth
-	for depth < cd+3 && htm.TrixelAngle(depth+1) >= 4*radius {
-		parts := float64(nCont) * math.Pow(4, float64(depth-cd))
-		if !(parts > 0 && buildEst/parts > partitionTargetRows) {
-			break
-		}
-		depth++
-	}
-	return depth
 }
 
 // neighborEstRows estimates the neighbor join's output cardinality from
@@ -218,8 +188,8 @@ func (e *Engine) neighborEstRows(cj *query.CompiledJoin, left, right *scanOp) fl
 }
 
 // pairEmitter assembles joined output rows into batches: the shared tail of
-// both join operators. Not safe for concurrent use; each join runs
-// one emitting goroutine.
+// both join operators. Not safe for concurrent use: the hash join has one,
+// each neighbor-join probe goroutine its own.
 type pairEmitter struct {
 	e     *Engine
 	cj    *query.CompiledJoin
@@ -473,13 +443,12 @@ func (o *hashJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	return o.instrument(out)
 }
 
-// neighborJoinOp executes the spatial join on hashm's partitioned index.
+// neighborJoinOp executes the spatial join on hashm's zones.
 type neighborJoinOp struct {
 	opBase
 	e           *Engine
 	cj          *query.CompiledJoin
 	buildLeft   bool
-	depth       int // partition depth, chosen by the cost model
 	left, right Operator
 }
 
@@ -507,76 +476,89 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 			buildPos, probePos = cj.LeftPos, cj.RightPos
 		}
 
-		idx, err := hashm.NewSpatialIndex(cj.Radius, o.depth)
-		if err != nil {
-			rows.setErr(err)
-			return
-		}
-
-		// Build first, straight from the build side's one stream: each row
-		// with a position is indexed under its place in built. The probe
-		// side stays unopened until the index exists — its morsels would
-		// otherwise hold shared-pool workers blocked on a stream nothing
-		// consumes yet.
-		build := buildOp.open(ctx, rows)
-		var built []Result
-		for b := range build {
-			for k := range b {
-				v, ok := sidePos(&b[k], buildPos)
-				if !ok {
-					continue
-				}
-				it := hashm.Item{ID: catalog.ObjID(b[k].ObjID), Key: b[k].Key, Pos: v, Row: int32(len(built))}
-				if err := idx.Insert(it); err != nil {
-					rows.setErr(err)
-					for range build {
-					}
-					return
-				}
-				built = append(built, b[k])
-			}
+		// Build first: drain the build side's one stream, keeping its
+		// batches, then lay the rows with a position out flat at their exact
+		// count and zone them. The probe side stays unopened until the zones
+		// exist — its morsels would otherwise hold shared-pool workers
+		// blocked on a stream nothing consumes yet.
+		var batches []Batch
+		n := 0
+		for b := range buildOp.open(ctx, rows) {
+			batches = append(batches, b)
+			n += len(b)
 		}
 		if rows.stop(ctx) {
 			return
 		}
-		idx.Finish(o.e.workers())
+		built := make([]Result, 0, n)
+		items := make([]hashm.Item, 0, n)
+		for _, b := range batches {
+			for k := range b {
+				if v, ok := sidePos(&b[k], buildPos); ok {
+					items = append(items, hashm.Item{ID: b[k].ObjID, Pos: v, Row: int32(len(built))})
+					built = append(built, b[k])
+				}
+			}
+		}
+		workers := o.e.workers()
+		zones, err := hashm.NewZones(cj.Radius, items, workers, func(n int, fn func(int)) {
+			o.e.runParallel(ctx, n, fn)
+		})
+		if err != nil {
+			rows.setErr(err)
+			return
+		}
+		if rows.stop(ctx) {
+			return
+		}
+		if o.stats != nil {
+			o.stats.workers.Store(int64(workers))
+		}
 
-		// Probe phase: the probe stream flows through the index, pairs
-		// flowing out as probe batches arrive — the probe side is never
-		// materialized.
+		// Probe phase: workers goroutines read the probe stream, each
+		// with its own emitter — plain goroutines, not pool units, because
+		// the probe scan's morsels need the pool. Pairs flow out as probe
+		// batches arrive; the probe side is never materialized.
 		probe := probeOp.open(ctx, rows)
-		em := newPairEmitter(o.e, cj, rows, out)
-		for b := range probe {
-			if rows.stop(ctx) {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o.probe(ctx, rows, zones, built, probe, probePos, newPairEmitter(o.e, cj, rows, out))
 				for range probe {
 				}
-				return
+			}()
+		}
+		wg.Wait()
+	}()
+	return o.instrument(out)
+}
+
+// probe streams probe batches through the zones until the stream ends or
+// the context fires, emitting every pair within the radius.
+func (o *neighborJoinOp) probe(ctx context.Context, rows *Rows, zones *hashm.Zones, built []Result, probe <-chan Batch, pos [3]int, em *pairEmitter) {
+	var matches []int32
+	for b := range probe {
+		if rows.stop(ctx) {
+			return
+		}
+		for k := range b {
+			v, ok := sidePos(&b[k], pos)
+			if !ok {
+				continue
 			}
-			for k := range b {
-				v, ok := sidePos(&b[k], probePos)
-				if !ok {
-					continue
+			matches = zones.Match(matches[:0], b[k].ObjID, v)
+			for _, m := range matches {
+				l, r := &built[m], &b[k]
+				if !o.buildLeft {
+					l, r = r, l
 				}
-				probeRow := &b[k]
-				pit := hashm.Item{ID: catalog.ObjID(b[k].ObjID), Key: b[k].Key, Pos: v}
-				cont, err := idx.Probe(pit, func(it hashm.Item, _ float64) bool {
-					l, r := &built[it.Row], probeRow
-					if !o.buildLeft {
-						l, r = probeRow, &built[it.Row]
-					}
-					return em.emit(ctx, l, r)
-				})
-				if err != nil {
-					rows.setErr(err)
-				}
-				if err != nil || !cont {
-					for range probe {
-					}
+				if !em.emit(ctx, l, r) {
 					return
 				}
 			}
 		}
-		em.flush(ctx)
-	}()
-	return o.instrument(out)
+	}
+	em.flush(ctx)
 }

@@ -406,18 +406,17 @@ func TestNeighborJoinHugeObjIDsExact(t *testing.T) {
 	}
 }
 
-// TestNeighborJoinPropertyGrid is the partitioned-join property test: across
-// random datasets, radii from well inside a partition trixel to several times
-// the margin width, and 1-versus-8 shards, the HTM-partitioned join must
-// produce exactly the brute-force all-pairs set. Radii near and beyond the
-// margin width make boundary pairs (one object per partition) the common
-// case, so any replication gap shows up as a missing pair.
+// TestNeighborJoinPropertyGrid is the zones-join property test: across
+// random datasets, radii from 0.5′ to 5°, 1-versus-8 shards and 1, 2 or 4
+// probe goroutines, the join must produce exactly the brute-force all-pairs
+// set — no pair lost at a zone edge, none reported twice by concurrent
+// probes (the poles and the RA seam are TestNeighborJoinPolesAndWraparound's).
 func TestNeighborJoinPropertyGrid(t *testing.T) {
 	type pair struct{ a, b catalog.ObjID }
 	for seed := int64(21); seed <= 23; seed++ {
 		e1, photo, _ := joinArchive(t, 1500, seed, 1)
 		e8, _, _ := joinArchive(t, 1500, seed, 8)
-		for _, radiusArcmin := range []float64{0.5, 3, 12} {
+		for _, radiusArcmin := range []float64{0.5, 3, 12, 300} {
 			radius := radiusArcmin * sphere.Arcmin
 			cosR := math.Cos(radius)
 			want := map[pair]bool{}
@@ -432,20 +431,28 @@ func TestNeighborJoinPropertyGrid(t *testing.T) {
 					}
 				}
 			}
+			if len(want) == 0 {
+				t.Fatalf("seed %d radius %g': degenerate dataset, no pairs", seed, radiusArcmin)
+			}
 			q := fmt.Sprintf(
 				"SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, %g) WHERE a.objid < b.objid",
 				radiusArcmin)
-			for shards, e := range map[int]*Engine{1: e1, 8: e8} {
-				got := mustCollect(t, e, q)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d radius %g' shards %d: join %d pairs, brute force %d",
-						seed, radiusArcmin, shards, len(got), len(want))
-				}
-				for _, r := range got {
-					p := pair{catalog.ObjID(r.Values[0]), catalog.ObjID(r.Values[1])}
-					if !want[p] {
-						t.Fatalf("seed %d radius %g' shards %d: unexpected pair %v",
-							seed, radiusArcmin, shards, p)
+			for shards, base := range map[int]*Engine{1: e1, 8: e8} {
+				for _, workers := range []int{1, 2, 4} {
+					e := &Engine{Photo: base.Photo, Tag: base.Tag, Spec: base.Spec, Workers: workers}
+					got := mustCollect(t, e, q)
+					if len(got) != len(want) {
+						t.Fatalf("seed %d radius %g' shards %d workers %d: join %d pairs, brute force %d",
+							seed, radiusArcmin, shards, workers, len(got), len(want))
+					}
+					seen := make(map[pair]bool, len(got))
+					for _, r := range got {
+						p := pair{catalog.ObjID(r.Values[0]), catalog.ObjID(r.Values[1])}
+						if !want[p] || seen[p] {
+							t.Fatalf("seed %d radius %g' shards %d workers %d: unexpected or repeated pair %v",
+								seed, radiusArcmin, shards, workers, p)
+						}
+						seen[p] = true
 					}
 				}
 			}
@@ -455,15 +462,18 @@ func TestNeighborJoinPropertyGrid(t *testing.T) {
 
 // TestNeighborJoinPolesAndWraparound runs the spatial join through the engine
 // on the sky's coordinate singularities: a tight triple around each celestial
-// pole (where RA degenerates) and a pair straddling the RA 0/360 seam, plus a
-// control object pairing with nothing. Cartesian geometry must see 7 pairs no
-// matter how the containers split them.
+// pole (where RA degenerates), a pair straddling the RA 0/360 seam on the
+// equator and one at dec 80° (where the 2′ circle's ra window, about ±11.5′,
+// is far wider than the pair's 0.6′ ra gap), plus a control object pairing
+// with nothing. Cartesian geometry must see 8 pairs no matter how the
+// containers split them or how many goroutines probe.
 func TestNeighborJoinPolesAndWraparound(t *testing.T) {
 	fixtures := []struct{ ra, dec float64 }{
 		{0, 89.99}, {120, 89.99}, {240, 89.99}, // north polar triple
 		{0, -89.99}, {120, -89.99}, {240, -89.99}, // south polar triple
 		{359.99, 0}, {0.01, 0}, // RA-wraparound pair
-		{180, 45}, // control: no neighbor within 2'
+		{180, 45},                  // control: no neighbor within 2'
+		{359.995, 80}, {0.005, 80}, // RA-wraparound pair at dec 80°
 	}
 	var photo []catalog.PhotoObj
 	for i, f := range fixtures {
@@ -484,15 +494,17 @@ func TestNeighborJoinPolesAndWraparound(t *testing.T) {
 			t.Fatal(err)
 		}
 		tgt.Sort()
-		e := &Engine{Photo: tgt.Photo, Tag: tgt.Tag, Spec: tgt.Spec}
-		got := mustCollect(t, e, q)
-		if len(got) != 7 {
-			t.Fatalf("shards %d: polar/wraparound join found %d pairs, want 7 (3+3 polar, 1 seam)",
-				shards, len(got))
-		}
-		for _, r := range got {
-			if r.Values[0] == 9 || r.Values[1] == 9 {
-				t.Fatalf("shards %d: control object paired: %v", shards, r.Values)
+		for _, workers := range []int{1, 2, 4} {
+			e := &Engine{Photo: tgt.Photo, Tag: tgt.Tag, Spec: tgt.Spec, Workers: workers}
+			got := mustCollect(t, e, q)
+			if len(got) != 8 {
+				t.Fatalf("shards %d workers %d: polar/wraparound join found %d pairs, want 8 (3+3 polar, 2 seam)",
+					shards, workers, len(got))
+			}
+			for _, r := range got {
+				if r.Values[0] == 9 || r.Values[1] == 9 {
+					t.Fatalf("shards %d workers %d: control object paired: %v", shards, workers, r.Values)
+				}
 			}
 		}
 	}
@@ -681,6 +693,47 @@ func TestJoinAnalyzeCounters(t *testing.T) {
 	}
 	if n := plan2.Describe(); n.BuildSide != "right" {
 		t.Errorf("unfiltered join build side = %q, want right (spec is smaller)", n.BuildSide)
+	}
+
+	// The analyzed neighbor join reports one worker per probe goroutine,
+	// and its plan line shows the zone height: here wider than the 3′
+	// radius, since 3′ zones would outnumber the ~2,400 build rows.
+	for _, workers := range []int{1, 2, 4} {
+		ew := &Engine{Photo: e.Photo, Tag: e.Tag, Spec: e.Spec, Workers: workers}
+		prep, err := query.PrepareString(
+			"SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 3) WHERE a.objid < b.objid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ew.PlanAnalyze(prep, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ew.ExecutePlan(context.Background(), plan, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rows.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := plan.Describe()
+		if node.Op != "neighbor-join" || node.Actual == nil {
+			t.Fatalf("workers %d: root %q, actual %+v", workers, node.Op, node.Actual)
+		}
+		if node.Actual.Workers != int64(workers) {
+			t.Errorf("workers %d: neighbor join reports %d probe workers", workers, node.Actual.Workers)
+		}
+		if node.Actual.RowsOut != int64(len(res)) || len(res) == 0 {
+			t.Errorf("workers %d: actual rows %d, collected %d", workers, node.Actual.RowsOut, len(res))
+		}
+		line, _, _ := strings.Cut(plan.Text(), "\n")
+		if node.ZoneHeightArcmin < 3 {
+			t.Errorf("workers %d: zone height %g′ below the 3′ radius", workers, node.ZoneHeightArcmin)
+		}
+		if !strings.Contains(line, " ZONE ") || !strings.Contains(line, fmt.Sprintf("workers=%d", workers)) {
+			t.Errorf("workers %d: neighbor-join plan line %q lacks ZONE or its workers", workers, line)
+		}
 	}
 }
 

@@ -69,7 +69,9 @@ type kernelPlan struct {
 	outs  []outCol
 	// perRecBytes is the raw footprint of the columns the kernel references
 	// per record — the numerator of the planner's bytes-scanned estimate.
-	perRecBytes int
+	// regionBytes is what a region test adds: the HTM column, unless a
+	// range test or an output already decodes it.
+	perRecBytes, regionBytes int
 }
 
 // outCol routes one output value: stored attributes materialize from
@@ -173,7 +175,7 @@ func compileKernel(cs *query.CompiledSelect, sp *scanPlan) *kernelPlan {
 	}
 
 	ref := make([]bool, spec.NumCols())
-	ref[kp.objCol], ref[kp.htmCol] = true, true
+	ref[kp.objCol] = true
 	for _, p := range kp.preds {
 		ref[p.col] = true
 	}
@@ -186,6 +188,9 @@ func compileKernel(cs *query.CompiledSelect, sp *scanPlan) *kernelPlan {
 		if used {
 			kp.perRecBytes += spec.Col(i).Kind.Size()
 		}
+	}
+	if !ref[kp.htmCol] {
+		kp.regionBytes = spec.Col(kp.htmCol).Kind.Size()
 	}
 	return kp
 }

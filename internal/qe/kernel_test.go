@@ -184,8 +184,7 @@ func scanSlab(t *testing.T, e *Engine, op *scanOp, count int, slab *colblk.Slab)
 	return out
 }
 
-// sameBatches compares two batch sequences boundary for boundary, keys
-// included.
+// sameBatches compares two batch sequences boundary for boundary.
 func sameBatches(a, b []Batch) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d batches vs %d", len(a), len(b))
@@ -193,11 +192,6 @@ func sameBatches(a, b []Batch) error {
 	for i := range a {
 		if err := sameResultsExact(a[i], b[i]); err != nil {
 			return fmt.Errorf("batch %d: %v", i, err)
-		}
-		for j := range a[i] {
-			if a[i][j].Key != b[i][j].Key {
-				return fmt.Errorf("batch %d row %d: key %v vs %v", i, j, a[i][j].Key, b[i][j].Key)
-			}
 		}
 	}
 	return nil

@@ -38,8 +38,9 @@ type OpActual struct {
 	// materialized into key vectors — the measured side of the planner's
 	// bytes-scanned cost estimate.
 	BytesDecoded int64 `json:"bytes_decoded,omitempty"`
-	// Workers counts the pool workers that touched this operator: scan
-	// workers for a leaf, build partitions for a parallel hash build.
+	// Workers counts the workers that touched this operator: scan workers
+	// for a leaf, build partitions for a parallel hash build, probe
+	// goroutines for a neighbor join.
 	Workers int64 `json:"workers,omitempty"`
 	// Morsels is the number of container-run work units a leaf scan was
 	// chunked into; Steals counts how many of them a pool worker
@@ -65,11 +66,12 @@ type OpNode struct {
 	On           string  `json:"on,omitempty"`
 	BuildSide    string  `json:"build_side,omitempty"`
 	RadiusArcmin float64 `json:"radius_arcmin,omitempty"`
-	// PartitionDepth is the HTM depth of the neighbor join's spatial
-	// partitions, chosen by the cost model (container depth, coarsened for
-	// wide radii, deepened for dense build sides).
-	PartitionDepth int    `json:"partition_depth,omitempty"`
-	Agg            string `json:"agg,omitempty"`
+	// ZoneHeightArcmin is the declination height of the neighbor join's
+	// zones: the radius, widened only when the estimated build side has
+	// fewer rows than the sky has zones of that height. The join recomputes
+	// it from the rows it actually builds.
+	ZoneHeightArcmin float64 `json:"zone_height_arcmin,omitempty"`
+	Agg              string  `json:"agg,omitempty"`
 	// OrderBy and Desc are a sort's key and direction. Limit caps a limit
 	// node's rows; on a scan, with OrderBy and Desc, it marks the top-N
 	// pushdown (each worker keeps only its best Limit rows).
@@ -222,8 +224,8 @@ func renderOpNode(b *strings.Builder, n *OpNode, depth int) {
 	if n.BuildSide != "" {
 		fmt.Fprintf(b, " BUILD %s", n.BuildSide)
 	}
-	if n.PartitionDepth > 0 {
-		fmt.Fprintf(b, " DEPTH %d", n.PartitionDepth)
+	if n.ZoneHeightArcmin > 0 {
+		fmt.Fprintf(b, " ZONE %.4g′", n.ZoneHeightArcmin)
 	}
 	if n.CoverDepth > 0 {
 		fmt.Fprintf(b, " COVER %d", n.CoverDepth)

@@ -282,6 +282,9 @@ func (e *Engine) planLeaf(cs *query.CompiledSelect, analyze bool) (*scanOp, erro
 	// bytes of just the columns it references (their raw footprint
 	// discounted by the store's measured compression ratio).
 	perRec := float64(op.plan.kernel.perRecBytes)
+	if rangeSet != nil {
+		perRec += float64(op.plan.kernel.regionBytes)
+	}
 	if enc, raw := st.ColBlkBytes(); raw > 0 {
 		perRec *= float64(enc) / float64(raw)
 	}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"sdss/internal/catalog"
-	"sdss/internal/htm"
 	"sdss/internal/query"
 	"sdss/internal/region"
 	"sdss/internal/store"
@@ -36,11 +35,7 @@ import (
 // Result is one element of a bag: the object pointer and, for leaf query
 // nodes, the projected attribute values.
 type Result struct {
-	ObjID catalog.ObjID
-	// Key is the record's embedded fine HTM trixel when the result came off
-	// a leaf scan (zero otherwise): the spatial join derives its partition
-	// from it with a bit shift instead of a root-to-leaf sphere walk.
-	Key    htm.ID
+	ObjID  catalog.ObjID
 	Values []float64
 }
 

@@ -49,7 +49,7 @@ func refCollect(t testing.TB, e *Engine, q string) []Result {
 			if cs.Pred != nil && !cs.Pred(rr.Get) {
 				return nil
 			}
-			r := Result{ObjID: rr.ObjID(), Key: st.KeyOf(rec)}
+			r := Result{ObjID: rr.ObjID()}
 			for _, a := range cs.Cols {
 				r.Values = append(r.Values, rr.Get(a))
 			}

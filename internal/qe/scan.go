@@ -120,7 +120,6 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 			return count, true
 		}
 	}
-	htmKeys := w.reader.Keys(kp.htmCol)
 	if n < 0 {
 		// No range predicates (no WHERE, or none with a usable key range):
 		// select all.
@@ -130,6 +129,7 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 		n = count
 	}
 	if w.rangeSet != nil {
+		htmKeys := w.reader.Keys(kp.htmCol)
 		m := 0
 		for _, si := range sel[:n] {
 			if w.rangeSet.Contains(htm.ID(htmKeys[si])) {
@@ -163,7 +163,7 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 		if !kp.exact && w.cs.Pred != nil && !w.cs.Pred(w.getter) {
 			continue
 		}
-		res := Result{ObjID: catalog.ObjID(objKeys[i]), Key: htm.ID(htmKeys[i])}
+		res := Result{ObjID: catalog.ObjID(objKeys[i])}
 		if top != nil {
 			res.Values = w.appendValues(top.slot(), i)
 			top.offer(res)

@@ -275,14 +275,17 @@ func BenchmarkOrderBy(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborJoin times the 0.5′ tag self-join — index build from the
-// build stream, probe from the probe stream — on the bench-density archive
-// at one and eight shards.
+// BenchmarkNeighborJoin times the tag self-join at the mining workload's
+// radius strata, 0.25′, 0.5′ and 0.75′ — build from the build stream, probe
+// from the probe stream — on the bench-density archive at one and eight
+// shards.
 func BenchmarkNeighborJoin(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		e, _ := coverArchive(b, 50000, 1, 4, shards)
 		benchQueries(b, e, fmt.Sprintf("shards=%d/", shards), []struct{ name, q string }{
 			{"self0.5", "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 0.5) WHERE a.objid < b.objid"},
+			{"self0.25", "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 0.25) WHERE a.objid < b.objid"},
+			{"self0.75", "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 0.75) WHERE a.objid < b.objid"},
 		})
 	}
 }
