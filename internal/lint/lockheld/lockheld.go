@@ -2,9 +2,9 @@
 // code holding a mutex must not park the goroutine, and nested lock
 // acquisitions must agree on one global order. The morsel pool makes both
 // properties load-bearing — a blocking operation under pool.mu stalls
-// every query on the engine, and an inverted acquisition pair between any
-// two of the scheduler's locks (pool.mu, scanJob.foldMu, scanJob.wmu) is
-// a deadlock waiting for the right interleaving.
+// every query on the engine, and an inverted acquisition pair between the
+// scheduler's locks (pool.mu, scanJob.wmu) is a deadlock waiting for the
+// right interleaving.
 //
 // The analyzer runs the lockflow held-set walk over every function and
 // function literal and reports:

@@ -8,9 +8,13 @@
 //     ORDER BY … LIMIT N over a scan, the stream is each scan worker's
 //     top-N heap under the same order (topN in scan.go), so the sort sees
 //     at most workers × N rows and still answers exactly.
-//   - runAggregate folds a single (join) stream into the one-row result;
-//     leaf scans push the same fold onto the pool per container instead
-//     (scanFold in morsel.go) and combine partials in container order:
+//   - runAggregate folds a single (join) stream into the one-row result,
+//     row by row through aggPartial.fold. A leaf scan under an aggregate
+//     streams no rows at all: each pool worker folds a container's
+//     selection vector straight from the decoded columns into that
+//     container's partial (scanWorker.foldSel; no Result, no objid decode,
+//     and COUNT of an exact predicate adds the selection's length), and
+//     the partials combine in container-ID order (scanFold in morsel.go):
 //     COUNT/SUM/MIN/MAX compose directly, AVG composes via sum+count.
 
 package qe
@@ -135,11 +139,22 @@ func (p *aggPartial) combine(q aggPartial) {
 // fold absorbs one result row. The non-count aggregate operand is the
 // hidden last value of the row.
 func (p *aggPartial) fold(agg query.AggFunc, r *Result) {
+	var v float64
+	if agg != query.AggCount {
+		v = r.Values[len(r.Values)-1] // hidden agg operand
+	}
+	p.foldValue(agg, v)
+}
+
+// foldValue absorbs one row's aggregate operand v (ignored by COUNT). The
+// leaf fold (scanWorker.foldSel) calls it straight from the decoded
+// columns, a stream aggregate through fold: the same additions in the same
+// order either way.
+func (p *aggPartial) foldValue(agg query.AggFunc, v float64) {
 	p.count++
 	if agg == query.AggCount {
 		return
 	}
-	v := r.Values[len(r.Values)-1] // hidden agg operand
 	p.sum += v
 	if math.IsNaN(v) {
 		// Unmeasured magnitude: every comparison against it is false, so

@@ -26,12 +26,12 @@
 package qe
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"sdss/internal/htm"
-	"sdss/internal/query"
 )
 
 // defaultMorselRows is the target record count per morsel: big enough that
@@ -56,10 +56,12 @@ func (e *Engine) getPool() *pool {
 }
 
 // unit is one queued work item: a scan morsel (a run of candidate
-// containers, sized at plan time to ~morselRows records), or a generic
-// function for non-scan pool work (the partitioned hash-join build).
+// containers, sized at plan time to ~morselRows records, starting at
+// position off of the scan's container list), or a generic function for
+// non-scan pool work (the partitioned hash-join build).
 type unit struct {
 	cids []htm.ID
+	off  int
 	run  func()
 }
 
@@ -284,18 +286,11 @@ const (
 	// nothing while the job runs, and finish sends each worker's heap
 	// where it would flush a batch remainder.
 	scanStream scanMode = iota
-	// scanFold computes per-container aggregate partials and combines them
-	// in container order — the aggregate pushdown.
+	// scanFold folds each container's survivors into its own aggregate
+	// partial, straight from the decoded columns, and combines the
+	// partials in container order — the aggregate pushdown.
 	scanFold
 )
-
-// contFold is one container's aggregate partial. Partials combine sorted
-// by container ID, so SUM/AVG are bit-identical across worker AND shard
-// counts (the container set is invariant under trixel-mod-N sharding).
-type contFold struct {
-	cid htm.ID
-	p   aggPartial
-}
 
 // scanJob is one leaf scan's execution state on the pool: the morsels come
 // from the plan, the workers are pooled per job, and the mode decides how
@@ -306,13 +301,14 @@ type scanJob struct {
 	ctx    context.Context
 	rows   *Rows
 	mode   scanMode
-	agg    query.AggFunc
 	pooled bool // units run on pool workers (not the single-morsel fast path)
 
 	out chan Batch // the gathered stream, or the fold's one-row result
 
-	foldMu sync.Mutex
-	folds  []contFold
+	// folds holds a fold job's partials, one per position in the scan's
+	// container list: each unit writes only its own morsel's slots, so no
+	// lock is taken and nothing grows.
+	folds []aggPartial
 
 	// Worker state is pooled per job: a unit checks out a scanWorker
 	// (accessor, column reader, current batch) and returns it, so the
@@ -347,8 +343,10 @@ func (j *scanJob) dispatch() {
 	default:
 		j.pooled = true
 		units := make([]unit, len(ms))
+		off := 0
 		for i, m := range ms {
-			units[i] = unit{cids: m}
+			units[i] = unit{cids: m, off: off}
+			off += len(m)
 		}
 		pj := &poolJob{run: j.runUnit, finish: j.finish}
 		j.e.getPool().dispatch(pj, units)
@@ -397,9 +395,10 @@ func (j *scanJob) emitTo(out chan Batch) func(Batch) bool {
 	}
 }
 
-// runUnit executes one morsel: check out a pooled worker, wire its emit for
-// the job's mode, and scan the container run, reading each container from
-// its owning slice.
+// runUnit executes one morsel: check out a pooled worker, point it at the
+// job's stream or, container by container, at the container's fold slot,
+// and scan the container run, reading each container from its owning
+// slice.
 func (j *scanJob) runUnit(u unit) {
 	if j.rows.stop(j.ctx) {
 		return
@@ -407,44 +406,23 @@ func (j *scanJob) runUnit(u unit) {
 	w := j.getWorker()
 	defer j.putWorker(w)
 	st := j.op.stats
-
-	if j.mode == scanFold {
-		for _, cid := range u.cids {
-			if j.rows.stop(j.ctx) {
-				return
-			}
-			var p aggPartial
-			w.emit = func(b Batch) bool {
-				for i := range b {
-					p.fold(j.agg, &b[i])
-				}
-				if st != nil {
-					st.rowsOut.Add(int64(len(b)))
-				}
-				return true
-			}
-			_, count, slab := j.op.st.ColumnData(cid)
-			examined, _ := w.scanKernel(count, slab) // the fold emit never refuses
-			if st != nil {
-				st.rowsIn.Add(int64(examined))
-			}
-			w.flush() // folds the remainder
-			j.foldMu.Lock()
-			j.folds = append(j.folds, contFold{cid: cid, p: p})
-			j.foldMu.Unlock()
-		}
-		return
+	if j.mode == scanStream {
+		w.emit = j.emitTo(j.out)
 	}
-
-	w.emit = j.emitTo(j.out)
-	for _, cid := range u.cids {
+	for k, cid := range u.cids {
 		if j.rows.stop(j.ctx) {
 			return
 		}
+		if j.mode == scanFold {
+			w.fold = &j.folds[u.off+k]
+		}
 		_, count, slab := j.op.st.ColumnData(cid)
-		examined, ok := w.scanKernel(count, slab)
+		examined, ok := w.scanKernel(count, slab) // a fold never refuses
 		if st != nil {
 			st.rowsIn.Add(int64(examined))
+			if w.fold != nil {
+				st.rowsOut.Add(w.fold.count)
+			}
 		}
 		if !ok {
 			return // the refused emit marked the cut
@@ -493,18 +471,32 @@ func (j *scanJob) finish(steals int64) {
 }
 
 // finishFold combines the per-container partials in container-ID order and
-// emits the single aggregate row. An empty fold set still answers (COUNT
-// of nothing is 0), matching the stream aggregate. A done context means
-// some unit may have skipped its containers, so the row is not sent.
+// emits the single aggregate row. Combining by ID, not by position, keeps
+// SUM/AVG bit-identical across worker AND shard counts: the container set
+// is invariant under trixel-mod-N sharding, but the scan's container list
+// is sorted per shard slice and concatenated across slices. An empty fold
+// set still answers (COUNT of nothing is 0), matching the stream
+// aggregate. A done context means some unit may have skipped its
+// containers, so the row is not sent.
 func (j *scanJob) finishFold() {
 	defer close(j.out)
 	if j.rows.stop(j.ctx) {
 		return
 	}
-	sort.Slice(j.folds, func(a, b int) bool { return j.folds[a].cid < j.folds[b].cid })
 	var total aggPartial
-	for i := range j.folds {
-		total.combine(j.folds[i].p)
+	if cids := j.op.containers; slices.IsSorted(cids) {
+		for i := range j.folds {
+			total.combine(j.folds[i])
+		}
+	} else {
+		order := make([]int32, len(cids))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(cids[a], cids[b]) })
+		for _, i := range order {
+			total.combine(j.folds[i])
+		}
 	}
-	j.rows.send(j.ctx, j.out, Batch{{Values: []float64{total.final(j.agg)}}})
+	j.rows.send(j.ctx, j.out, Batch{{Values: []float64{total.final(j.op.cs.Agg)}}})
 }

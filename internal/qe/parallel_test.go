@@ -57,6 +57,11 @@ func TestWorkerShardPropertyGrid(t *testing.T) {
 		{"count", "SELECT COUNT(*) FROM tag WHERE r < 21", true},
 		{"sum", "SELECT SUM(r) FROM tag WHERE r < 21", true},
 		{"avg", "SELECT AVG(r) FROM tag WHERE r < 21", true},
+		// r is a float32 magnitude: thousands of them sum exactly in
+		// float64 in any order. The derived ra does not, so only these
+		// two rows see the container-order combine.
+		{"sum-ra", "SELECT SUM(ra) FROM tag WHERE r < 21", true},
+		{"avg-ra", "SELECT AVG(ra) FROM tag WHERE r < 21", true},
 		{"min", "SELECT MIN(r) FROM tag WHERE r < 21", true},
 		{"max", "SELECT MAX(r) FROM tag WHERE r < 21", true},
 		{"hash-join", "SELECT p.objid, s.redshift FROM photoobj p JOIN specobj s ON p.objid = s.objid WHERE p.r < 20", false},

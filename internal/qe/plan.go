@@ -401,12 +401,13 @@ func (o *scanOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	return o.instrument(j.out)
 }
 
-// openFold is the aggregate pushdown: the pool folds each container into
-// an aggregate partial and combines them in container-ID order, so the
-// result is bit-identical across worker and shard counts.
-func (o *scanOp) openFold(ctx context.Context, rows *Rows, agg query.AggFunc) <-chan Batch {
+// openFold is the aggregate pushdown of the scan's own aggregate
+// (cs.Agg): the pool folds each container into an aggregate partial and
+// combines them in container-ID order, so the result is bit-identical
+// across worker and shard counts.
+func (o *scanOp) openFold(ctx context.Context, rows *Rows) <-chan Batch {
 	j := o.newJob(ctx, rows, scanFold)
-	j.agg = agg
+	j.folds = make([]aggPartial, len(o.containers))
 	j.out = make(chan Batch, 1)
 	j.dispatch()
 	return j.out
@@ -492,7 +493,7 @@ func (o *aggOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	if sc, ok := o.in.(*scanOp); ok {
 		// Aggregate pushdown: the pool folds per container and combines in
 		// container order — no row stream to gather at all.
-		return o.instrument(sc.openFold(ctx, rows, o.agg))
+		return o.instrument(sc.openFold(ctx, rows))
 	}
 	return o.instrument(o.e.runAggregate(ctx, o.agg, o.in.open(ctx, rows), rows))
 }

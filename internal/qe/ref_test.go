@@ -12,7 +12,10 @@ import (
 // single-table select by walking every record of the table's store through
 // query.RowReader and the compiled predicate — no HTM coverage, zone maps,
 // column blocks or kernels — and applies the projection, COUNT,
-// NaN-skipping MIN/MAX, ORDER BY (key, objid) and LIMIT itself. It shares
+// NaN-skipping MIN/MAX, SUM/AVG, ORDER BY (key, objid) and LIMIT itself.
+// SUM and AVG follow the engine's addition order, so they compare
+// bit for bit: each container's operands are summed in record order from
+// zero, and the container sums are added in Containers() (ID) order. It shares
 // no code with the engine's scan, kernel or gather stages, so a pruning or
 // kernel bug cannot hide on both sides of a comparison;
 // query.TestRowReaderMatchesStructCodecs ties the row reader to the catalog
@@ -41,7 +44,9 @@ func refCollect(t testing.TB, e *Engine, q string) []Result {
 
 	var out []Result
 	var keys, aggVals []float64
+	var sum float64
 	for _, cid := range st.Containers() {
+		var part float64
 		err := st.ForEachInContainer(cid, func(rec []byte) error {
 			if err := rr.Reset(rec); err != nil {
 				return err
@@ -58,13 +63,16 @@ func refCollect(t testing.TB, e *Engine, q string) []Result {
 				keys = append(keys, rr.Get(cs.Order))
 			}
 			if cs.Agg != query.AggNone && cs.Agg != query.AggCount {
-				aggVals = append(aggVals, rr.Get(cs.AggCol))
+				v := rr.Get(cs.AggCol)
+				aggVals = append(aggVals, v)
+				part += v
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("refCollect %q: %v", q, err)
 		}
+		sum += part
 	}
 
 	switch cs.Agg {
@@ -83,6 +91,15 @@ func refCollect(t testing.TB, e *Engine, q string) []Result {
 			}
 		}
 		return []Result{{Values: []float64{v}}}
+	case query.AggSum:
+		return []Result{{Values: []float64{sum}}}
+	case query.AggAvg:
+		// NaN operands poison the average; no row at all answers 0.
+		avg := 0.0
+		if len(out) > 0 {
+			avg = sum / float64(len(out))
+		}
+		return []Result{{Values: []float64{avg}}}
 	default:
 		t.Fatalf("refCollect %q: aggregate %v has no reference", q, cs.Agg)
 	}

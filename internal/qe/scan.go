@@ -8,8 +8,9 @@ import (
 )
 
 // scanWorker is one scan goroutine's working state: the column reader
-// with its selection scratch and per-record getter, and the current output
-// batch with the value array its rows are carved from.
+// with its selection scratch and per-record getter, and either the current
+// output batch with the value array its rows are carved from or, for an
+// aggregate scan, the partial its survivors fold into.
 type scanWorker struct {
 	cs       *query.CompiledSelect
 	sp       *scanPlan
@@ -30,10 +31,10 @@ type scanWorker struct {
 	batch   Batch
 	vals    []float64
 	emit    func(Batch) bool
-	// reuse marks an emit that consumes the batch before returning (the
-	// aggregate fold): nothing else ever sees the batch, so flush refills
-	// the same batch and value array instead of allocating new ones.
-	reuse bool
+	// fold, set by an aggregate scan job before each container, is that
+	// container's partial: survivors fold into it straight from the
+	// decoded columns, and the worker builds no batch.
+	fold *aggPartial
 	// top is the bounded top-N of an ORDER BY … LIMIT scan: survivors go
 	// into it instead of the batch, and the job emits it when it finishes.
 	top *topN
@@ -59,11 +60,7 @@ func (w *scanWorker) flush() bool {
 			w.flushAt = w.bs
 		}
 	}
-	if w.reuse {
-		w.batch, w.vals = w.batch[:0], w.vals[:0]
-	} else {
-		w.fresh()
-	}
+	w.fresh()
 	return true
 }
 
@@ -83,7 +80,8 @@ func (w *scanWorker) fresh() {
 // then the branch-free range filters and the coverage test on the decoded
 // HTM column build a selection vector, and only survivors materialize —
 // from keys for stored attributes, through the column getter for derived
-// ones and any residual predicate. A top-N worker whose heap is full reads
+// ones and any residual predicate. A fold worker materializes nothing: it
+// hands the selection to foldSel. A top-N worker whose heap is full reads
 // a survivor's sort key first and drops it, unchecked and unmaterialized,
 // when the key is strictly worse than the heap's worst. It returns the
 // number of records examined and whether the worker should continue:
@@ -141,6 +139,10 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 			return count, true
 		}
 	}
+	if w.fold != nil {
+		w.foldSel(sel[:n])
+		return count, true
+	}
 	objKeys := w.reader.Keys(kp.objCol)
 	outKeys := w.outKeys[:0]
 	for _, oc := range kp.outs {
@@ -182,6 +184,52 @@ func (w *scanWorker) scanKernel(count int, slab *colblk.Slab) (int, bool) {
 	return count, true
 }
 
+// foldSel folds the selected records into the worker's partial in
+// selection order — the additions, and their order, of folding the rows
+// the stream would emit, without building one. COUNT of an exact (or
+// absent) predicate adds the selection's length and decodes nothing more.
+// Otherwise a residual predicate re-checks each record through the column
+// getter, and the operand is read from its decoded key column, or through
+// the getter when it is derived. No objid is decoded.
+func (w *scanWorker) foldSel(sel []int32) {
+	p, agg := w.fold, w.cs.Agg
+	residual := !w.sp.kernel.exact && w.cs.Pred != nil
+	if agg == query.AggCount && !residual {
+		p.count += int64(len(sel))
+		return
+	}
+	var oc outCol
+	var keys []uint64
+	if agg != query.AggCount {
+		// The operand is the last hidden output (newScanPlan).
+		oc = w.sp.kernel.outs[len(w.sp.kernel.outs)-1]
+		if oc.stored {
+			keys = w.reader.Keys(int(oc.attr))
+		}
+	}
+	if !residual && oc.stored {
+		for _, si := range sel {
+			p.foldValue(agg, oc.kind.Value(keys[si]))
+		}
+		return
+	}
+	for _, si := range sel {
+		i := int(si)
+		w.cols.Seek(i)
+		if residual && !w.cs.Pred(w.getter) {
+			continue
+		}
+		switch {
+		case agg == query.AggCount:
+			p.count++
+		case oc.stored:
+			p.foldValue(agg, oc.kind.Value(keys[i]))
+		default:
+			p.foldValue(agg, w.getter(oc.attr))
+		}
+	}
+}
+
 // appendValues appends survivor i's output values — the projection, then
 // the hidden columns — to dst. The column getter must be at record i.
 func (w *scanWorker) appendValues(dst []float64, i int) []float64 {
@@ -209,18 +257,22 @@ func (w *scanWorker) sortKey(i int) float64 {
 
 // newScanWorker builds one scan worker for a leaf scan job: the column
 // reader, its getter, and the first batch — or, for a top-N scan, its
-// empty heap instead. Values of all a batch's results are carved out of
-// one backing array sized for a full batch, so the per-record path
-// allocates nothing. The worker's emit is bound per morsel by the
-// scheduler; reuse is set by a job whose emit is the aggregate fold.
-func newScanWorker(e *Engine, o *scanOp, reuse bool) *scanWorker {
+// empty heap instead, and for an aggregate fold nothing at all: the job
+// points fold at each container's partial. Values of all a batch's results
+// are carved out of one backing array sized for a full batch, so the
+// per-record path allocates nothing. The worker's emit is bound per morsel
+// by the scheduler.
+func newScanWorker(e *Engine, o *scanOp, fold bool) *scanWorker {
 	bs := e.batchSize()
 	reader := colblk.NewReader()
 	cols := query.NewColumnGetter(o.cs.Table, reader)
 	w := &scanWorker{
 		cs: o.cs, sp: o.plan, rangeSet: o.rangeSet, stats: o.stats,
 		reader: reader, cols: cols, getter: cols.Get,
-		bs: bs, flushAt: min(initialFlushAt, bs), reuse: reuse,
+		bs: bs, flushAt: min(initialFlushAt, bs),
+	}
+	if fold {
+		return w
 	}
 	if o.topN > 0 {
 		w.top = &topN{n: o.topN, keyIdx: len(o.cs.Cols), desc: o.cs.Desc, width: o.plan.width, chunk: bs}
