@@ -24,17 +24,16 @@ race:
 	go test -race ./...
 
 # skylint is the project's own analyzer suite (cmd/skylint): raw record
-# offsets, NaN-safe comparisons, cancellable fan-out, and the morsel-pool
-# concurrency invariants (slotheld, lockheld). The qe cut contract is held
-# by construction and checked by a qe test (TestCutMarksOnlyInHelpers).
+# offsets, NaN-safe comparisons, and the morsel-pool concurrency invariants
+# (slotheld, lockheld). The qe cut contract and its cancellable fan-out are
+# held by construction and checked by a qe test (TestCutMarksOnlyInHelpers).
 # Copies of qe.Engine are left to stock vet's copylocks check (the `vet`
-# target). Both drivers run: the standalone loader, which reads/writes
-# function-summary artifacts under $(BIN)/lintsum so partial re-runs stay
-# interprocedural, and `go vet -vettool`, whose findings carry the same
-# package scoping and exit behavior as the rest of vet (summaries ride the
-# .vetx facts files there).
+# target). Both drivers run: the standalone loader, which computes every
+# package's function summaries in import order within the one run, and
+# `go vet -vettool`, whose findings carry the same package scoping and exit
+# behavior as the rest of vet (summaries ride the .vetx facts files there).
 skylint: $(BIN)/skylint
-	$(BIN)/skylint -sumdir $(BIN)/lintsum ./...
+	$(BIN)/skylint ./...
 	go vet -vettool=$(BIN)/skylint ./...
 
 $(BIN)/skylint: FORCE
@@ -55,8 +54,7 @@ skylint-test:
 # binary for the fixtures that split across a and b. A cmd/skylint test
 # keeps the spec list equal to the registered analyzers.
 skylint-violations: $(BIN)/skylint
-	@for spec in ctxcancel:a nansafe:qe rawoffset:a \
-			slotheld:a lockheld:a; do \
+	@for spec in nansafe:qe rawoffset:a slotheld:a lockheld:a; do \
 		name=$${spec%%:*}; pkg=$${spec##*:}; \
 		t=$(CURDIR)/internal/lint/$$name/testdata; \
 		if GO111MODULE=off GOPATH=$$t GOFLAGS= $(BIN)/skylint -C $$t/src $$pkg >/dev/null 2>&1; then \
@@ -70,7 +68,7 @@ skylint-violations: $(BIN)/skylint
 # ghannotate re-emits each finding as an ::error workflow command and
 # exits 1 if any exist — so lint failures land on the PR diff.
 annotate: $(BIN)/skylint
-	@$(BIN)/skylint -json -sumdir $(BIN)/lintsum ./... > $(BIN)/skylint.ndjson; \
+	@$(BIN)/skylint -json ./... > $(BIN)/skylint.ndjson; \
 	go run ./internal/lint/ghannotate < $(BIN)/skylint.ndjson
 
 # staticcheck and govulncheck need network access to fetch the pinned
@@ -93,7 +91,7 @@ fmt-check:
 lint: skylint staticcheck govulncheck
 
 # The offline gate: formatting, vet (whose copylocks check rejects any
-# by-value copy of qe.Engine), build, the five skylint analyzers with their
+# by-value copy of qe.Engine), build, the four skylint analyzers with their
 # fixture and deliberate-violation checks, and `go test ./...` — which also
 # runs the end-to-end benchmark's smoke test in bench/. CI runs these plus
 # the steps that need no target here: the race detector, the query engine

@@ -1,5 +1,5 @@
 // Command skylint is the archive's project-specific static-analysis suite:
-// five analyzers that mechanically enforce the engine's convention-only
+// four analyzers that mechanically enforce the engine's convention-only
 // invariants, from raw record offsets to the morsel pool's deadlock
 // discipline. Copies of qe.Engine need no analyzer of their own: the
 // engine holds a sync.Once, so stock `go vet` (copylocks) rejects them.
@@ -11,10 +11,6 @@
 //	nansafe     attribute/sort-key float comparisons use the NaN-aware
 //	            comparators; test entry points are exempt, shared test
 //	            helpers are not.
-//	ctxcancel   goroutine fan-out sends select on a cancellation signal;
-//	            named-function spawns and calls inside spawned literals are
-//	            judged by their summaries, and sends provably buffered to
-//	            the fan-out width are exempt.
 //	slotheld    no blocking operation while holding a morsel-pool slot —
 //	            the pool's release-before-blocking discipline (morsel.go's
 //	            blockingSend) as a checked property.
@@ -24,12 +20,13 @@
 //
 // # Function summaries
 //
-// The interprocedural layer computes per-function facts (may-block,
-// unguarded-send) bottom-up over the call graph and carries them across package boundaries: the standalone
-// driver processes packages in import order (optionally persisting
-// artifacts with -sumdir so later runs and CI caches can reuse them), and
-// the vettool driver serializes summaries through go vet's per-package
-// .vetx facts files.
+// The interprocedural layer computes per-function facts (may-block)
+// bottom-up over the call graph and carries them across package
+// boundaries: the standalone driver processes packages in import order
+// within one run, and the vettool driver serializes summaries through go
+// vet's per-package .vetx facts files, so a partial run
+// (`go vet -vettool=$(which skylint) ./internal/qe`) still sees its
+// dependencies' facts.
 //
 // # Usage
 //

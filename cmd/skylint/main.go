@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"sdss/internal/lint/analysis"
-	"sdss/internal/lint/ctxcancel"
 	"sdss/internal/lint/lockheld"
 	"sdss/internal/lint/nansafe"
 	"sdss/internal/lint/rawoffset"
@@ -19,7 +18,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	rawoffset.Analyzer,
 	nansafe.Analyzer,
-	ctxcancel.Analyzer,
 	slotheld.Analyzer,
 	lockheld.Analyzer,
 }
@@ -42,10 +40,9 @@ func main() {
 
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	dir := flag.String("C", "", "change to this directory (module root) before loading packages")
-	sumdir := flag.String("sumdir", "", "directory for per-package function-summary artifacts (read and written)")
 	asJSON := flag.Bool("json", false, "emit findings as NDJSON instead of text")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: skylint [-list] [-json] [-C dir] [-sumdir dir] packages...\n")
+		fmt.Fprintf(os.Stderr, "usage: skylint [-list] [-json] [-C dir] packages...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -62,7 +59,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(*dir, *sumdir, patterns)
+	pkgs, err := analysis.Load(*dir, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "skylint:", err)
 		os.Exit(1)

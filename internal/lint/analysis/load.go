@@ -10,10 +10,8 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // LoadedPackage is one package ready for analysis.
@@ -50,12 +48,12 @@ type listedPackage struct {
 // summaries bottom-up, and returns them ready for RunAnalyzers. In-package
 // test files are checked together with the package; external _test packages
 // are loaded as their own unit after their base package. dir is the module
-// directory to run in ("" = current). sumdir, when non-empty, is a summary
-// artifact directory: dependencies outside the pattern set are read from it
-// when present, and every analyzed package's summary is written back, so
-// partial invocations (`skylint ./internal/qe`) still see cross-package
-// facts from an earlier full run.
-func Load(dir, sumdir string, patterns []string) ([]*LoadedPackage, error) {
+// directory to run in ("" = current). Summaries cross package boundaries
+// only within one invocation: a dependency outside the pattern set
+// contributes no facts (builtin facts still apply), so a partial
+// interprocedural run goes through `go vet -vettool`, whose .vetx facts
+// files carry them.
+func Load(dir string, patterns []string) ([]*LoadedPackage, error) {
 	cmd := exec.Command("go", append([]string{"list", "-json"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -106,16 +104,11 @@ func Load(dir, sumdir string, patterns []string) ([]*LoadedPackage, error) {
 			if err != nil {
 				return nil, err
 			}
-			deps := depSummaries(u.imports, computed, sumdir)
+			deps := depSummaries(u.imports, computed)
 			lp.Summaries = ComputeSummaries(fset, lp.Files, lp.Info, deps)
 			pkgs = append(pkgs, lp)
 			if u.path == p.ImportPath {
 				computed[p.ImportPath] = lp.Summaries
-				if sumdir != "" {
-					if err := writeSummaryFile(sumdir, p.ImportPath, lp.Summaries); err != nil {
-						return nil, err
-					}
-				}
 			}
 		}
 	}
@@ -153,24 +146,13 @@ func topoOrder(listed []listedPackage) []listedPackage {
 	return ordered
 }
 
-// depSummaries merges the summary views for a unit's imports: packages
-// analyzed earlier in this invocation first, then sumdir artifacts from a
-// prior run, silently skipping anything unknown (builtin facts still apply).
-func depSummaries(imports []string, computed map[string]*Summaries, sumdir string) *Summaries {
+// depSummaries merges the summary views for a unit's imports analyzed
+// earlier in this invocation, silently skipping anything unknown (builtin
+// facts still apply).
+func depSummaries(imports []string, computed map[string]*Summaries) *Summaries {
 	merged := NewSummaries()
 	for _, path := range imports {
 		if v, ok := computed[path]; ok {
-			mergeInto(merged, v)
-			continue
-		}
-		if sumdir == "" {
-			continue
-		}
-		data, err := os.ReadFile(summaryFile(sumdir, path))
-		if err != nil {
-			continue
-		}
-		if v, err := DecodeSummaries(data, nil); err == nil {
 			mergeInto(merged, v)
 		}
 	}
@@ -186,22 +168,6 @@ func mergeInto(dst *Summaries, src *Summaries) {
 			}
 		}
 	}
-}
-
-// summaryFile maps an import path to its artifact filename.
-func summaryFile(sumdir, importPath string) string {
-	return filepath.Join(sumdir, strings.ReplaceAll(importPath, "/", "__")+".json")
-}
-
-func writeSummaryFile(sumdir, importPath string, s *Summaries) error {
-	if err := os.MkdirAll(sumdir, 0o777); err != nil {
-		return err
-	}
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(summaryFile(sumdir, importPath), data, 0o666)
 }
 
 // CheckFiles parses the named files (or src overrides, keyed by filename)

@@ -12,8 +12,8 @@ package analysis
 // calls (sync.WaitGroup.Wait, sync.Cond.Wait, time.Sleep).
 //
 // Summaries are deliberately optimistic about what they cannot see: a call
-// through a function value or interface method contributes no blocking or
-// send facts (flow tracking for function values is out of scope), and a
+// through a function value or interface method contributes no blocking
+// facts (flow tracking for function values is out of scope), and a
 // function literal's body is not folded into its enclosing function (the
 // closure may run on a different goroutine entirely).
 
@@ -33,17 +33,10 @@ type FuncFacts struct {
 	// channel operation, a no-default select, sync.Cond.Wait,
 	// sync.WaitGroup.Wait, or time.Sleep — directly or through a callee.
 	// Plain mutex acquisition is deliberately NOT MayBlock: bounded leaf
-	// critical sections are the lockheld analyzer's domain.
+	// critical sections are the lockheld analyzer's domain. Neither is a
+	// send provably buffered to its send count (see provenBuffered).
 	MayBlock bool   `json:"may_block,omitempty"`
 	BlockWhy string `json:"block_why,omitempty"`
-
-	// UnguardedSend: some reachable channel send is neither a select comm
-	// case, nor a forward inside a range-over-channel loop, nor provably
-	// buffered (the make(chan T, len(xs)) / one-send-per-range-xs shape).
-	// Spawning a goroutine that (transitively) has this fact violates the
-	// engine's cancellable fan-out invariant.
-	UnguardedSend bool   `json:"unguarded_send,omitempty"`
-	SendWhy       string `json:"send_why,omitempty"`
 }
 
 // builtinFacts covers the stdlib calls whose blocking behavior the layer
@@ -146,8 +139,8 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// Encode serializes the view's own layer (not deps) for the vetx facts file
-// and the standalone summary artifact, deterministically.
+// Encode serializes the view's own layer (not deps) for the vetx facts
+// file, deterministically.
 func (s *Summaries) Encode() ([]byte, error) {
 	keys := make([]string, 0, len(s.fns))
 	for k := range s.fns {
@@ -213,7 +206,7 @@ func ComputeSummaries(fset *token.FileSet, files []*ast.File, info *types.Info, 
 		changed := false
 		for _, d := range decls {
 			w := &factWalker{fset: fset, info: info, sums: own, body: d.decl.Body}
-			w.walk(d.decl.Body, false)
+			w.walk(d.decl.Body)
 			prev := own.fns[d.key]
 			if prev == nil || *prev != w.facts {
 				f := w.facts
@@ -249,23 +242,8 @@ func (w *factWalker) blocking(pos token.Pos, why string) {
 	}
 }
 
-func (w *factWalker) unguarded(pos token.Pos) {
-	if !w.facts.UnguardedSend {
-		w.facts.UnguardedSend = true
-		w.facts.SendWhy = "channel send at " + w.posStr(pos)
-	}
-}
-
-func (w *factWalker) unguardedVia(pos token.Pos, key, why string) {
-	if !w.facts.UnguardedSend {
-		w.facts.UnguardedSend = true
-		w.facts.SendWhy = "call to " + key + " at " + w.posStr(pos) + " (" + why + ")"
-	}
-}
-
-// walk visits one node. fwd marks range-over-channel bodies, where a send
-// forwards a stream whose producer already honors cancellation.
-func (w *factWalker) walk(n ast.Node, fwd bool) {
+// walk visits one node.
+func (w *factWalker) walk(n ast.Node) {
 	switch n := n.(type) {
 	case nil:
 		return
@@ -277,14 +255,14 @@ func (w *factWalker) walk(n ast.Node, fwd bool) {
 		// Deferred work runs on this goroutine before the function returns.
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 			for _, st := range lit.Body.List {
-				w.walk(st, false)
+				w.walk(st)
 			}
 			for _, arg := range n.Call.Args {
-				w.walk(arg, fwd)
+				w.walk(arg)
 			}
 			return
 		}
-		w.walk(n.Call, fwd)
+		w.walk(n.Call)
 		return
 	case *ast.SelectStmt:
 		hasDefault := false
@@ -298,75 +276,68 @@ func (w *factWalker) walk(n ast.Node, fwd bool) {
 		}
 		for _, cl := range n.Body.List {
 			cc := cl.(*ast.CommClause)
-			w.walkComm(cc.Comm, fwd)
+			w.walkComm(cc.Comm)
 			for _, st := range cc.Body {
-				w.walk(st, fwd)
+				w.walk(st)
 			}
 		}
 		return
 	case *ast.SendStmt:
-		if w.provenBuffered(n) {
-			w.walk(n.Value, fwd)
-			return
+		if !w.provenBuffered(n) {
+			w.blocking(n.Arrow, "channel send")
 		}
-		w.blocking(n.Arrow, "channel send")
-		if !fwd {
-			w.unguarded(n.Arrow)
-		}
-		w.walk(n.Value, fwd)
+		w.walk(n.Value)
 		return
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW {
 			w.blocking(n.OpPos, "channel receive")
 		}
-		w.walk(n.X, fwd)
+		w.walk(n.X)
 		return
 	case *ast.RangeStmt:
-		inner := fwd
 		if t := w.info.TypeOf(n.X); t != nil {
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
 				w.blocking(n.For, "range over channel")
-				inner = true
 			}
 		}
-		w.walk(n.X, fwd)
-		w.walk(n.Body, inner)
+		w.walk(n.X)
+		w.walk(n.Body)
 		return
 	case *ast.CallExpr:
-		w.walkCall(n, fwd)
+		w.walkCall(n)
 		return
 	}
 	ast.Inspect(n, func(c ast.Node) bool {
 		if c == n {
 			return true
 		}
-		w.walk(c, fwd)
+		w.walk(c)
 		return false
 	})
 }
 
-// walkComm visits a select comm statement: the select guards the operation
-// itself, so neither a comm send nor a comm receive is blocking or
-// unguarded, but their operand expressions still carry events.
-func (w *factWalker) walkComm(comm ast.Stmt, fwd bool) {
+// walkComm visits a select comm statement: the select itself decides
+// whether the operation blocks, so neither a comm send nor a comm receive
+// is blocking on its own, but their operand expressions still carry events.
+func (w *factWalker) walkComm(comm ast.Stmt) {
 	switch s := comm.(type) {
 	case nil:
 	case *ast.SendStmt:
-		w.walk(s.Value, fwd)
-		w.walk(s.Chan, fwd)
+		w.walk(s.Value)
+		w.walk(s.Chan)
 	case *ast.ExprStmt:
 		if ue, ok := s.X.(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-			w.walk(ue.X, fwd)
+			w.walk(ue.X)
 			return
 		}
-		w.walk(s.X, fwd)
+		w.walk(s.X)
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
 			if ue, ok := rhs.(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-				w.walk(ue.X, fwd)
+				w.walk(ue.X)
 				continue
 			}
-			w.walk(rhs, fwd)
+			w.walk(rhs)
 		}
 	}
 }
@@ -374,20 +345,14 @@ func (w *factWalker) walkComm(comm ast.Stmt, fwd bool) {
 // walkCall folds a call's events into the facts: the callee's summary, if
 // one is known. Calls through function values, interface methods and
 // unsummarized packages contribute nothing (the optimistic direction).
-func (w *factWalker) walkCall(call *ast.CallExpr, fwd bool) {
-	if fn, facts := w.sums.Callee(w.info, call); facts != nil {
-		key := FuncKey(fn)
-		if facts.MayBlock {
-			w.blocking(call.Lparen, "call to "+key+" ("+facts.BlockWhy+")")
-		}
-		if facts.UnguardedSend && !fwd {
-			w.unguardedVia(call.Lparen, key, facts.SendWhy)
-		}
+func (w *factWalker) walkCall(call *ast.CallExpr) {
+	if fn, facts := w.sums.Callee(w.info, call); facts != nil && facts.MayBlock {
+		w.blocking(call.Lparen, "call to "+FuncKey(fn)+" ("+facts.BlockWhy+")")
 	}
 	for _, arg := range call.Args {
-		w.walk(arg, fwd)
+		w.walk(arg)
 	}
-	w.walk(call.Fun, fwd)
+	w.walk(call.Fun)
 }
 
 // builtinName returns the name of a Go builtin call, or "".
@@ -406,8 +371,9 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 // block: its channel is a local made once with make(chan T, len(xs)), this
 // is the only send site to that channel, and the send executes at most once
 // per iteration of a single `range xs` loop — the "completion send buffered
-// to the fan-out width" idiom (the river exchange tests). Function literals crossed on the way up must be immediately
-// invoked (go/defer/call), so they run at most once per crossing.
+// to the fan-out width" idiom (the river exchange tests). Function literals
+// crossed on the way up must be immediately invoked (go/defer/call), so
+// they run at most once per crossing.
 func (w *factWalker) provenBuffered(send *ast.SendStmt) bool {
 	return ProvenBuffered(w.info, w.body, send)
 }

@@ -73,6 +73,13 @@ func forwards(in, out chan int) {
 	}
 }
 
+func bufferedOnly(xs []int) {
+	done := make(chan int, len(xs))
+	for _, x := range xs {
+		done <- x
+	}
+}
+
 func bufferedCompletion(xs []int) int {
 	done := make(chan int, len(xs))
 	for _, x := range xs {
@@ -89,38 +96,29 @@ func bufferedCompletion(xs []int) int {
 func TestSummaryBlocking(t *testing.T) {
 	s := checkSummaries(t, blockSrc, nil)
 	cases := []struct {
-		key                     string
-		mayBlock, unguardedSend bool
+		key      string
+		mayBlock bool
 	}{
-		{"p.direct", true, true},
-		{"p.indirect", true, true}, // inherited through the call
-		{"p.viaWaitGroup", true, false},
-		{"p.selectDefault", false, false},
-		{"p.selectNoDefault", true, false}, // blocks, but send is select-guarded
-		{"p.spawnsOnly", false, false},     // the goroutine's facts are its own
-		{"p.recursesA", true, true},        // fixed point over mutual recursion
-		{"p.recursesB", true, true},
-		{"p.forwards", true, false}, // range-over-channel forward is sanctioned
+		{"p.direct", true},
+		{"p.indirect", true}, // inherited through the call
+		{"p.viaWaitGroup", true},
+		{"p.selectDefault", false},
+		{"p.selectNoDefault", true},
+		{"p.spawnsOnly", false}, // the goroutine's facts are its own
+		{"p.recursesA", true},   // fixed point over mutual recursion
+		{"p.recursesB", true},
+		{"p.forwards", true},
+		// The channel is made with cap len(xs) and sent once per range
+		// iteration: the send is proven non-blocking.
+		{"p.bufferedOnly", false},
+		// The same proven send, but the drain receives block.
+		{"p.bufferedCompletion", true},
 	}
 	for _, c := range cases {
 		f := lookup(t, s, c.key)
 		if f.MayBlock != c.mayBlock {
 			t.Errorf("%s: MayBlock = %v (%s), want %v", c.key, f.MayBlock, f.BlockWhy, c.mayBlock)
 		}
-		if f.UnguardedSend != c.unguardedSend {
-			t.Errorf("%s: UnguardedSend = %v (%s), want %v", c.key, f.UnguardedSend, f.SendWhy, c.unguardedSend)
-		}
-	}
-
-	// The completion channel is made with cap len(xs) and sent once per
-	// range iteration: the send is proven non-blocking, so only the
-	// receives make the function blocking.
-	f := lookup(t, s, "p.bufferedCompletion")
-	if f.UnguardedSend {
-		t.Errorf("bufferedCompletion: UnguardedSend = true (%s), want proven-buffered exemption", f.SendWhy)
-	}
-	if !f.MayBlock {
-		t.Error("bufferedCompletion: MayBlock = false, want true (drain receives)")
 	}
 }
 
@@ -135,8 +133,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := back.LookupKey("p.indirect")
-	if f == nil || !f.MayBlock || !f.UnguardedSend {
-		t.Fatalf("round-tripped p.indirect = %+v, want MayBlock+UnguardedSend", f)
+	if f == nil || !f.MayBlock {
+		t.Fatalf("round-tripped p.indirect = %+v, want MayBlock", f)
 	}
 }
 
@@ -161,8 +159,8 @@ func direct(ch chan int) // declared elsewhere in the package
 func wrapper(ch chan int) { direct(ch) }
 `, decoded)
 	f := lookup(t, caller, "p.wrapper")
-	if !f.MayBlock || !f.UnguardedSend {
-		t.Errorf("wrapper facts = %+v, want blocking+unguarded inherited across the decode boundary", f)
+	if !f.MayBlock {
+		t.Errorf("wrapper facts = %+v, want blocking inherited across the decode boundary", f)
 	}
 }
 

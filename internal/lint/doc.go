@@ -11,7 +11,7 @@
 //     comments, multi-package testdata/src trees).
 //   - lockflow: shared lock-set dataflow (lock identity, held-set walk,
 //     blocking-operation classification) used by lockheld and slotheld.
-//   - rawoffset, nansafe, ctxcancel, slotheld, lockheld: the analyzers.
+//   - rawoffset, nansafe, slotheld, lockheld: the analyzers.
 //     See cmd/skylint's package doc for the invariant each one enforces.
 //
 // The suppression golden test in this package pins the tree-wide count of

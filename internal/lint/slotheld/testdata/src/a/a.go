@@ -150,7 +150,7 @@ func dispatchUnits(j *job) []unit {
 }
 
 // finish hooks run on their own goroutine, never on a slot: a blocking
-// completion signal there is fine (and is ctxcancel's concern, not ours).
+// completion signal there is fine.
 func dispatchFinish(j *job, done chan struct{}) {
 	_ = &poolJob{
 		run:    j.goodLeafLock,

@@ -126,10 +126,14 @@ func TestCutAggregateSendsNoRow(t *testing.T) {
 // TestCutMarksOnlyInHelpers holds the cut contract by construction: only
 // Rows.send and Rows.stop may mark a stream interrupted, so every producer
 // must go through them. It parses the package's non-test files and fails
-// on any of the three drop-point shapes outside those two methods: a write
-// to an interrupted flag, a select case receiving from Done(), and an
-// Err() != nil check in a function that mentions Batch. A hand-written
-// site fails even when it marks correctly.
+// on any of the four drop-point shapes outside those two methods: a write
+// to an interrupted flag, a select case receiving from Done(), an Err() !=
+// nil check in a function that mentions Batch, and a channel send that is
+// not a comm of a select with a default case. A hand-written site fails
+// even when it marks correctly. The send shape is what keeps every fan-out
+// cancellable: a send that can block goes through Rows.send, which selects
+// on the context, wherever it runs (a spawned goroutine or a helper it
+// calls alike).
 func TestCutMarksOnlyInHelpers(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -158,9 +162,21 @@ func TestCutMarksOnlyInHelpers(t *testing.T) {
 				}
 				return true
 			})
+			// Sends that are comms of a select with a default never block.
+			tries := map[ast.Stmt]bool{}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				var shape string
 				switch n := n.(type) {
+				case *ast.SelectStmt:
+					if hasDefault(n) {
+						for _, cl := range n.Body.List {
+							tries[cl.(*ast.CommClause).Comm] = true
+						}
+					}
+				case *ast.SendStmt:
+					if !tries[n] {
+						shape = "sends on a channel outside a select with a default"
+					}
 				case *ast.CallExpr:
 					// Store, Swap or CompareAndSwap: anything but Load writes.
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name != "Load" && selects(sel.X, "interrupted") {
@@ -186,10 +202,20 @@ func TestCutMarksOnlyInHelpers(t *testing.T) {
 			})
 		}
 	}
-	// send marks and selects on Done(); stop marks.
-	if inHelpers < 3 {
-		t.Fatalf("found %d drop-point shapes in Rows.send and Rows.stop, want 3: the walk no longer recognizes them", inHelpers)
+	// send sends, marks and selects on Done(); stop marks.
+	if inHelpers < 4 {
+		t.Fatalf("found %d drop-point shapes in Rows.send and Rows.stop, want 4: the walk no longer recognizes them", inHelpers)
 	}
+}
+
+// hasDefault reports whether a select has a default case.
+func hasDefault(s *ast.SelectStmt) bool {
+	for _, cl := range s.Body.List {
+		if cl.(*ast.CommClause).Comm == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // isCutHelper reports whether fn is Rows.send or Rows.stop.

@@ -440,7 +440,7 @@ func (o *hashJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		}
 		em.flush(ctx)
 	}()
-	return o.instrument(out)
+	return o.instrument(ctx, rows, out)
 }
 
 // neighborJoinOp executes the spatial join on hashm's zones.
@@ -532,7 +532,7 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		}
 		wg.Wait()
 	}()
-	return o.instrument(out)
+	return o.instrument(ctx, rows, out)
 }
 
 // probe streams probe batches through the zones until the stream ends or

@@ -190,8 +190,11 @@ func (b *opBase) describe() *OpNode {
 }
 
 // instrument wraps an output stream with row counting when the operator
-// runs under ANALYZE; otherwise the stream passes through untouched.
-func (b *opBase) instrument(in <-chan Batch) <-chan Batch {
+// runs under ANALYZE; otherwise the stream passes through untouched. The
+// forward goes through Rows.send like every producer: once the context is
+// done it returns without draining in, whose producer sees the same done
+// context.
+func (b *opBase) instrument(ctx context.Context, rows *Rows, in <-chan Batch) <-chan Batch {
 	if b.stats == nil {
 		return in
 	}
@@ -202,7 +205,9 @@ func (b *opBase) instrument(in <-chan Batch) <-chan Batch {
 		defer b.stats.markEnd()
 		for bt := range in {
 			b.stats.rowsOut.Add(int64(len(bt)))
-			out <- bt
+			if !rows.send(ctx, out, bt) {
+				return
+			}
 		}
 	}()
 	return out

@@ -216,3 +216,74 @@ func TestMorselFastPathSingleContainer(t *testing.T) {
 		t.Errorf("Workers = %d, want 1", scan.Actual.Workers)
 	}
 }
+
+// TestStalledConsumerParksOnlyItsQuery is the cross-query starvation
+// property: a query whose consumer never reads must park only itself. On a
+// one-worker pool, with morsels and batches small enough that the stalled
+// scan outruns its stream's buffer at once, a stream, a fold and a top-N
+// started afterwards must each finish, and closing the stalled query must
+// return the goroutine count to its baseline. How many goroutines the
+// stalled query parks is logged, not bounded.
+func TestStalledConsumerParksOnlyItsQuery(t *testing.T) {
+	e, _ := coverArchive(t, 20000, 1, 4, 1)
+	e.Workers = 1
+	e.morselTarget = 64
+	e.batchRows = 8
+
+	// Warm the pool once so lazily created state is excluded from the
+	// baseline, then let the warm-up's workers exit.
+	mustCollect(t, e, "SELECT objid FROM tag LIMIT 1")
+	baseline := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n < baseline {
+			baseline = n
+		} else {
+			break
+		}
+	}
+
+	stalled, err := e.ExecuteString(context.Background(), "SELECT objid, r FROM tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT objid, r FROM tag WHERE r < 20",
+		"SELECT COUNT(*) FROM tag WHERE g - r > 0.3",
+		"SELECT objid, r FROM tag ORDER BY r LIMIT 10",
+	} {
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			rows, err := e.ExecuteString(context.Background(), q)
+			if err == nil {
+				_, err = rows.Collect()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			t.Logf("%s: %v beside the stalled query", q, time.Since(start))
+		case <-time.After(10 * time.Second):
+			stalled.Close()
+			t.Fatalf("%s did not finish within 10s beside a stalled query", q)
+		}
+	}
+	t.Logf("stalled query parks %d goroutines above baseline", runtime.NumGoroutine()-baseline)
+
+	stalled.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= baseline {
+			break
+		} else if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: %d now vs %d baseline\n%s",
+				n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

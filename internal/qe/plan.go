@@ -393,12 +393,12 @@ var closedBatch = func() chan Batch {
 // order-free ASAP path: every pool worker pushes into the same channel.
 func (o *scanOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	if len(o.morsels) == 0 {
-		return o.instrument(closedBatch)
+		return o.instrument(ctx, rows, closedBatch)
 	}
 	j := o.newJob(ctx, rows, scanStream)
 	j.out = make(chan Batch, 2+2*o.e.getPool().size)
 	j.dispatch()
-	return o.instrument(j.out)
+	return o.instrument(ctx, rows, j.out)
 }
 
 // openFold is the aggregate pushdown of the scan's own aggregate
@@ -441,7 +441,7 @@ func (o *setOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		rows.setErr(fmt.Errorf("qe: unknown set operation %v", o.op))
 		out = ch
 	}
-	return o.instrument(out)
+	return o.instrument(ctx, rows, out)
 }
 
 // sortOp is ORDER BY: it drains its input's one stream — a scan's gathered
@@ -466,7 +466,7 @@ func (e *Engine) newSortOp(keyIdx int, orderBy string, desc bool, in Operator, e
 }
 
 func (o *sortOp) open(ctx context.Context, rows *Rows) <-chan Batch {
-	return o.instrument(o.e.runSort(ctx, o.keyIdx, o.desc, o.in.open(ctx, rows), rows))
+	return o.instrument(ctx, rows, o.e.runSort(ctx, o.keyIdx, o.desc, o.in.open(ctx, rows), rows))
 }
 
 // aggOp combines per-container partial aggregates (over a scan, pushed
@@ -493,9 +493,9 @@ func (o *aggOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	if sc, ok := o.in.(*scanOp); ok {
 		// Aggregate pushdown: the pool folds per container and combines in
 		// container order — no row stream to gather at all.
-		return o.instrument(sc.openFold(ctx, rows))
+		return o.instrument(ctx, rows, sc.openFold(ctx, rows))
 	}
-	return o.instrument(o.e.runAggregate(ctx, o.agg, o.in.open(ctx, rows), rows))
+	return o.instrument(ctx, rows, o.e.runAggregate(ctx, o.agg, o.in.open(ctx, rows), rows))
 }
 
 // limitOp caps the stream at n rows.
@@ -517,5 +517,5 @@ func (e *Engine) newLimitOp(n int, in Operator, est, cost float64, analyze bool)
 }
 
 func (o *limitOp) open(ctx context.Context, rows *Rows) <-chan Batch {
-	return o.instrument(o.e.runLimit(ctx, o.n, o.in.open(ctx, rows), rows))
+	return o.instrument(ctx, rows, o.e.runLimit(ctx, o.n, o.in.open(ctx, rows), rows))
 }
