@@ -24,11 +24,9 @@ race:
 	go test -race ./...
 
 # skylint is the project's own analyzer suite (cmd/skylint): raw record
-# offsets, NaN-safe comparisons, and the morsel-pool concurrency invariants
-# (slotheld, lockheld). The qe cut contract and its cancellable fan-out are
-# held by construction and checked by a qe test (TestCutMarksOnlyInHelpers).
-# Copies of qe.Engine are left to stock vet's copylocks check (the `vet`
-# target). Both drivers run: the standalone loader, which computes every
+# offsets, NaN-safe comparisons, and lock discipline (lockheld). The qe cut
+# contract and its cancellable fan-out are held by construction and checked
+# by a qe test (TestCutMarksOnlyInHelpers). Both drivers run: the standalone loader, which computes every
 # package's function summaries in import order within the one run, and
 # `go vet -vettool`, whose findings carry the same package scoping and exit
 # behavior as the rest of vet (summaries ride the .vetx facts files there).
@@ -54,7 +52,7 @@ skylint-test:
 # binary for the fixtures that split across a and b. A cmd/skylint test
 # keeps the spec list equal to the registered analyzers.
 skylint-violations: $(BIN)/skylint
-	@for spec in nansafe:qe rawoffset:a slotheld:a lockheld:a; do \
+	@for spec in nansafe:qe rawoffset:a lockheld:a; do \
 		name=$${spec%%:*}; pkg=$${spec##*:}; \
 		t=$(CURDIR)/internal/lint/$$name/testdata; \
 		if GO111MODULE=off GOPATH=$$t GOFLAGS= $(BIN)/skylint -C $$t/src $$pkg >/dev/null 2>&1; then \
@@ -90,8 +88,7 @@ fmt-check:
 
 lint: skylint staticcheck govulncheck
 
-# The offline gate: formatting, vet (whose copylocks check rejects any
-# by-value copy of qe.Engine), build, the four skylint analyzers with their
+# The offline gate: formatting, vet, build, the three skylint analyzers with their
 # fixture and deliberate-violation checks, and `go test ./...` — which also
 # runs the end-to-end benchmark's smoke test in bench/. CI runs these plus
 # the steps that need no target here: the race detector, the query engine

@@ -1,8 +1,6 @@
 // Command skylint is the archive's project-specific static-analysis suite:
-// four analyzers that mechanically enforce the engine's convention-only
-// invariants, from raw record offsets to the morsel pool's deadlock
-// discipline. Copies of qe.Engine need no analyzer of their own: the
-// engine holds a sync.Once, so stock `go vet` (copylocks) rejects them.
+// three analyzers that mechanically enforce the engine's convention-only
+// invariants, from raw record offsets to lock discipline.
 //
 // # Analyzers
 //
@@ -11,9 +9,6 @@
 //	nansafe     attribute/sort-key float comparisons use the NaN-aware
 //	            comparators; test entry points are exempt, shared test
 //	            helpers are not.
-//	slotheld    no blocking operation while holding a morsel-pool slot —
-//	            the pool's release-before-blocking discipline (morsel.go's
-//	            blockingSend) as a checked property.
 //	lockheld    no blocking operation or inconsistently-ordered second
 //	            acquisition while holding a mutex; lock-order inversions
 //	            report both witness sites.

@@ -11,14 +11,12 @@ import (
 	"sdss/internal/lint/lockheld"
 	"sdss/internal/lint/nansafe"
 	"sdss/internal/lint/rawoffset"
-	"sdss/internal/lint/slotheld"
 )
 
 // analyzers is the skylint suite, in documentation order.
 var analyzers = []*analysis.Analyzer{
 	rawoffset.Analyzer,
 	nansafe.Analyzer,
-	slotheld.Analyzer,
 	lockheld.Analyzer,
 }
 

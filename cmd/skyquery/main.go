@@ -35,7 +35,7 @@ func main() {
 		dir     = flag.String("archive", "archive", "archive directory")
 		limit   = flag.Int("max", 0, "stop after this many rows (0 = all)")
 		timing  = flag.Bool("t", false, "print timing summary to stderr")
-		workers = flag.Int("workers", 0, "morsel pool size (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "goroutines each scan runs on (0 = GOMAXPROCS)")
 		format  = flag.String("format", "tsv", "output format: tsv, csv, or ndjson")
 		explain = flag.Bool("explain", false, "print the physical plan (access paths, estimates, zone bounds, containers read per shard) instead of executing")
 		analyze = flag.Bool("analyze", false, "with -explain: execute the query and report actual rows and timing per operator")

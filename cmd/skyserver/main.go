@@ -28,7 +28,7 @@ func main() {
 		dir        = flag.String("archive", "archive", "archive directory")
 		addr       = flag.String("addr", ":8080", "listen address")
 		shards     = flag.Int("shards", 0, "store shard slices (0 = adopt the archive's recorded count, else 1)")
-		workers    = flag.Int("workers", 0, "morsel pool size (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "goroutines each scan runs on (0 = GOMAXPROCS)")
 		maxRows    = flag.Int("max-rows", 0, "interactive query row cap (0 = 10000)")
 		maxTimeout = flag.Duration("max-timeout", 0, "interactive query time cap (0 = 30s)")
 		jobs       = flag.Int("jobs", 0, "concurrent batch jobs (0 = 2)")

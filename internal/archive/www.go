@@ -118,9 +118,9 @@ func (w *WWW) handleStatus(rw http.ResponseWriter, req *http.Request) {
 		// record counts, in shard order — the partition-balance view.
 		Shards       int     `json:"shards"`
 		ShardRecords []int64 `json:"shard_records,omitempty"`
-		// Workers is the engine's morsel-pool slot count; GoMaxProcs the
-		// runtime's scheduler width — together the parallel capacity behind
-		// every /v1/query scatter.
+		// Workers is how many goroutines each scan runs its morsels on;
+		// GoMaxProcs the runtime's scheduler width, which every concurrent
+		// query shares.
 		Workers    int `json:"workers"`
 		GoMaxProcs int `json:"gomaxprocs"`
 		// ZoneMapBytes is the in-memory footprint of the per-container
@@ -137,7 +137,7 @@ func (w *WWW) handleStatus(rw http.ResponseWriter, req *http.Request) {
 	}
 	st := status{Version: "v1", Uptime: time.Since(w.Started).Round(time.Second).String()}
 	st.Shards = w.Engine.NumShards()
-	st.Workers = w.Engine.PoolSize()
+	st.Workers = w.Engine.ScanWorkers()
 	st.GoMaxProcs = runtime.GOMAXPROCS(0)
 	for _, t := range []struct {
 		s       *store.Sharded

@@ -45,7 +45,9 @@ type Options struct {
 	// each scan covers only as deep as its store's record density can use,
 	// at most qe.DefaultCoverDepth (10).
 	CoverDepth int
-	// Workers sizes the engine-wide morsel worker pool (default GOMAXPROCS).
+	// Workers is each scan's parallelism: the goroutines a query's scan
+	// runs its morsels on (default GOMAXPROCS). It bounds one scan, not
+	// the archive; concurrent queries share GOMAXPROCS.
 	Workers int
 	// Shards splits every store into that many slices (default 1), each
 	// independently persistable; a scan's morsels cover the containers of

@@ -60,8 +60,8 @@ func bruteMatch(build []Item, probe Item, cosR float64) []int32 {
 	return rows
 }
 
-// parallelRun runs NewZones' units on their own goroutines, as a worker
-// pool would.
+// parallelRun runs NewZones' units on their own goroutines, as the
+// engine's runParallel does.
 func parallelRun(n int, fn func(int)) {
 	var wg sync.WaitGroup
 	for i := range n {

@@ -113,7 +113,7 @@ func (s *Summaries) lookupKey(key string) *FuncFacts {
 // a nil *FuncFacts with a non-nil callee means no summary is known
 // (interface method, or a package outside the summarized set).
 func (s *Summaries) Callee(info *types.Info, call *ast.CallExpr) (*types.Func, *FuncFacts) {
-	fn := CalleeFunc(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		return nil, nil
 	}
@@ -123,9 +123,9 @@ func (s *Summaries) Callee(info *types.Info, call *ast.CallExpr) (*types.Func, *
 	return fn, s.lookupKey(FuncKey(fn))
 }
 
-// CalleeFunc resolves the static callee of a call, or nil for calls through
+// calleeFunc resolves the static callee of a call, or nil for calls through
 // function values and type conversions.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {

@@ -10,8 +10,8 @@
 //   - linttest: the analysistest-style fixture harness (// want
 //     comments, multi-package testdata/src trees).
 //   - lockflow: shared lock-set dataflow (lock identity, held-set walk,
-//     blocking-operation classification) used by lockheld and slotheld.
-//   - rawoffset, nansafe, slotheld, lockheld: the analyzers.
+//     blocking-operation classification) used by lockheld.
+//   - rawoffset, nansafe, lockheld: the analyzers.
 //     See cmd/skylint's package doc for the invariant each one enforces.
 //
 // The suppression golden test in this package pins the tree-wide count of

@@ -7,11 +7,11 @@ func TestAnnotateEscapes(t *testing.T) {
 		File:     "internal/qe/morsel.go",
 		Line:     42,
 		Col:      7,
-		Analyzer: "slotheld",
-		Message:  "blocking send\nwhile holding a slot: 50% stalled",
+		Analyzer: "lockheld",
+		Message:  "blocking send\nwhile holding a lock: 50% stalled",
 	}
 	got := annotate(f)
-	want := "::error file=internal/qe/morsel.go,line=42,col=7,title=skylint/slotheld::blocking send%0Awhile holding a slot: 50%25 stalled"
+	want := "::error file=internal/qe/morsel.go,line=42,col=7,title=skylint/lockheld::blocking send%0Awhile holding a lock: 50%25 stalled"
 	if got != want {
 		t.Fatalf("annotate mismatch:\n got %q\nwant %q", got, want)
 	}

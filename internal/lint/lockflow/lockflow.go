@@ -1,10 +1,10 @@
-// Package lockflow is the shared lock-dataflow machinery behind the
-// lockheld and slotheld analyzers: a linear held-set walk over function
-// bodies, a stable identity scheme for mutexes, and a classifier for
-// operations that can park the goroutine.
+// Package lockflow is the lock-dataflow machinery behind the lockheld
+// analyzer: a linear held-set walk over function bodies, a stable identity
+// scheme for mutexes, and a classifier for operations that can park the
+// goroutine.
 //
-// Lock identity is type-scoped for fields (`pkg.pool.mu` names the mu field
-// of every pool value — lock-order discipline is a property of the type's
+// Lock identity is type-scoped for fields (`pkg.Store.mu` names the mu field
+// of every Store value — lock-order discipline is a property of the type's
 // protocol, not one instance) and instance-scoped for locals and package
 // variables. The held-set walk is deliberately simple flow analysis:
 // straight-line statements thread one mutable set, branches fork copies,

@@ -1,10 +1,10 @@
 // Package lockheld mechanizes the engine's critical-section discipline:
 // code holding a mutex must not park the goroutine, and nested lock
-// acquisitions must agree on one global order. The morsel pool makes both
-// properties load-bearing — a blocking operation under pool.mu stalls
-// every query on the engine, and an inverted acquisition pair between the
-// scheduler's locks (pool.mu, scanJob.wmu) is a deadlock waiting for the
-// right interleaving.
+// acquisitions must agree on one global order. Both matter wherever a lock
+// guards state that concurrent queries share — the store's mutex, the job
+// tier's queue: a blocking operation under such a lock stalls every query
+// that needs it, and an inverted acquisition pair is a deadlock waiting for
+// the right interleaving.
 //
 // The analyzer runs the lockflow held-set walk over every function and
 // function literal and reports:
@@ -114,7 +114,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // short trims the package path off a lock identity for readable messages:
-// "sdss/internal/qe.pool.mu" → "qe.pool.mu".
+// "sdss/internal/store.Store.mu" → "store.Store.mu".
 func short(id string) string {
 	if i := strings.LastIndexByte(id, '/'); i >= 0 {
 		return id[i+1:]

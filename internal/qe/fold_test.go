@@ -27,7 +27,7 @@ func foldGridWheres(ra, dec float64) []string {
 // operand (r) and a derived one (tag ra, read through the column getter),
 // under every foldGridWheres shape, on the NaN archive and the cover
 // archive, at one and four shard slices and Workers 1, 2 and 4. Small
-// morsels make the pool fan a query out over several units, so the
+// morsels make a scan fan out over several morsels, so the
 // partials are written by different workers and still combine in
 // container-ID order.
 func TestFoldMatchesReference(t *testing.T) {

@@ -16,7 +16,7 @@
 //     materializing the probe input.
 //
 // Both operators read each side as the one gathered stream of its leaf
-// scan. The scans' morsels already run in parallel on the engine-wide pool,
+// scan. The scans' morsels already run in parallel on each scan's workers,
 // so neither join needs to know how the stores are sharded.
 package qe
 
@@ -315,7 +315,7 @@ func mix64(x uint64) uint64 {
 }
 
 // hashTable is the hash join's build result: build-row indices keyed by
-// join key, split into hash partitions built in parallel on the pool.
+// join key, split into hash partitions built in parallel (runParallel).
 type hashTable struct {
 	mask  uint64
 	parts []map[uint64][]int32
@@ -327,13 +327,13 @@ func (t *hashTable) lookup(key uint64) []int32 {
 
 // buildHashTable builds the join table from the drained build side. Large
 // inputs are partitioned by mixed key hash in one sequential pass, then
-// each partition's map builds as a pool unit; the per-key match lists keep
-// ascending build-row order either way, so probe output is identical to
-// the single-map build. NaN keys are dropped (never matched).
+// the partitions' maps build in parallel (runParallel); the per-key match
+// lists keep ascending build-row order either way, so probe output is
+// identical to the single-map build. NaN keys are dropped (never matched).
 func (e *Engine) buildHashTable(ctx context.Context, built []Result, key func(int) (uint64, bool)) *hashTable {
 	nparts := 1
 	if len(built) >= parallelBuildRows {
-		for w := min(e.getPool().size, 16); nparts < w; {
+		for w := min(e.workers(), 16); nparts < w; {
 			nparts <<= 1
 		}
 	}
@@ -385,9 +385,8 @@ func (o *hashJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 
 		// Drain the build child first — the node blocks on it exactly like
 		// the paper's sort and intersection nodes block on theirs. The
-		// probe side stays unopened until the table exists: its morsels
-		// would otherwise hold shared-pool workers blocked on a stream
-		// nothing consumes yet.
+		// probe side stays unopened until the table exists: opened, its
+		// scan would run ahead into a stream nothing consumes yet.
 		built, ok := drainCollect(ctx, buildOp.open(ctx, rows), rows)
 		if !ok {
 			return
@@ -479,8 +478,8 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		// Build first: drain the build side's one stream, keeping its
 		// batches, then lay the rows with a position out flat at their exact
 		// count and zone them. The probe side stays unopened until the zones
-		// exist — its morsels would otherwise hold shared-pool workers
-		// blocked on a stream nothing consumes yet.
+		// exist: opened, its scan would run ahead into a stream nothing
+		// consumes yet.
 		var batches []Batch
 		n := 0
 		for b := range buildOp.open(ctx, rows) {
@@ -516,9 +515,8 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		}
 
 		// Probe phase: workers goroutines read the probe stream, each
-		// with its own emitter — plain goroutines, not pool units, because
-		// the probe scan's morsels need the pool. Pairs flow out as probe
-		// batches arrive; the probe side is never materialized.
+		// with its own emitter. Pairs flow out as probe batches arrive;
+		// the probe side is never materialized.
 		probe := probeOp.open(ctx, rows)
 		var wg sync.WaitGroup
 		for range workers {

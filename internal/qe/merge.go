@@ -1,5 +1,5 @@
 // The order- and aggregate-sensitive stages above a gathered stream. A leaf
-// scan operator fans out across the morsel pool (scanOp in plan.go) and
+// scan operator fans out across its own workers (scanOp in plan.go) and
 // gathers through its own MPSC stream; what consumes that one stream here:
 //
 //   - runSort implements ORDER BY: it drains the stream and sorts it by the
@@ -10,7 +10,7 @@
 //     at most workers × N rows and still answers exactly.
 //   - runAggregate folds a single (join) stream into the one-row result,
 //     row by row through aggPartial.fold. A leaf scan under an aggregate
-//     streams no rows at all: each pool worker folds a container's
+//     streams no rows at all: each scan worker folds a container's
 //     selection vector straight from the decoded columns into that
 //     container's partial (scanWorker.foldSel; no Result, no objid decode,
 //     and COUNT of an exact predicate adds the selection's length), and

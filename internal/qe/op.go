@@ -43,10 +43,12 @@ type OpActual struct {
 	// goroutines for a neighbor join.
 	Workers int64 `json:"workers,omitempty"`
 	// Morsels is the number of container-run work units a leaf scan was
-	// chunked into; Steals counts how many of them a pool worker
-	// took from another worker's queue.
+	// chunked into.
 	Morsels int64 `json:"morsels,omitempty"`
-	Steals  int64 `json:"steals,omitempty"`
+	// Steals is always 0: a scan's workers claim morsels from one shared
+	// counter, so no morsel is taken from another worker's queue. The
+	// field stays because the benchmark's trace still reads it.
+	Steals int64 `json:"steals,omitempty"`
 }
 
 // OpNode is one node of the physical plan: the operator, its chosen access
@@ -116,7 +118,6 @@ type opStats struct {
 	bytesDecoded  atomic.Int64
 	workers       atomic.Int64
 	morsels       atomic.Int64
-	steals        atomic.Int64
 	startNs       atomic.Int64
 	endNs         atomic.Int64
 }
@@ -176,7 +177,6 @@ func (b *opBase) describe() *OpNode {
 			BytesDecoded:  b.stats.bytesDecoded.Load(),
 			Workers:       b.stats.workers.Load(),
 			Morsels:       b.stats.morsels.Load(),
-			Steals:        b.stats.steals.Load(),
 		}
 		if act.RowsIn == 0 {
 			act.RowsIn = childOut
@@ -276,8 +276,7 @@ func renderOpNode(b *strings.Builder, n *OpNode, depth int) {
 				n.Actual.BlocksSkipped, n.Actual.BytesDecoded)
 		}
 		if n.Actual.Morsels > 0 {
-			fmt.Fprintf(b, " workers=%d morsels=%d steals=%d",
-				n.Actual.Workers, n.Actual.Morsels, n.Actual.Steals)
+			fmt.Fprintf(b, " workers=%d morsels=%d", n.Actual.Workers, n.Actual.Morsels)
 		} else if n.Actual.Workers > 0 {
 			fmt.Fprintf(b, " workers=%d", n.Actual.Workers)
 		}

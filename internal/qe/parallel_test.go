@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -30,7 +32,7 @@ func canonicalTotal(res []Result) {
 
 // TestWorkerShardPropertyGrid is the scheduler conformance property: every
 // query in the grid must produce bit-identical results across every
-// combination of pool size (Workers ∈ {1, 2, 8}) and scatter width
+// combination of scan parallelism (Workers ∈ {1, 2, 8}) and scatter width
 // (shards ∈ {1, 8}) — tolerance zero, including SUM and AVG: aggregate
 // scans fold per container and combine partials in container order, and
 // the container set does not depend on how containers are dealt to shards
@@ -92,14 +94,15 @@ func TestWorkerShardPropertyGrid(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeReportsMorsels pins the scheduler's observability: an
+// TestExplainAnalyzeReportsMorsels pins the scan's observability: an
 // EXPLAIN ANALYZE sharded scan must report how many morsels it was chunked
-// into, how many pool workers ran them, and how many were stolen — in the
-// OpNode actuals and in the rendered plan text.
+// into and how many workers ran them — at most min(Workers, morsels) — in
+// the OpNode actuals and in the rendered plan text. Steals stays 0: the
+// workers claim morsels from one shared counter.
 func TestExplainAnalyzeReportsMorsels(t *testing.T) {
 	e, _ := shardedArchive(t, 6000, 3, 8)
 	e.Workers = 4
-	e.morselTarget = 64 // many small morsels so the pool genuinely fans out
+	e.morselTarget = 64 // many small morsels so the scan genuinely fans out
 	plan, rows := openAnalyzed(t, e, "SELECT objid, r FROM tag WHERE r < 21.5")
 	if _, err := rows.Collect(); err != nil {
 		t.Fatal(err)
@@ -108,11 +111,11 @@ func TestExplainAnalyzeReportsMorsels(t *testing.T) {
 	if scan.Actual.Morsels < 2 {
 		t.Errorf("Morsels = %d, want >= 2 (64-record morsels over 6000 records)", scan.Actual.Morsels)
 	}
-	if scan.Actual.Workers < 1 || scan.Actual.Workers > 4 {
-		t.Errorf("Workers = %d, want 1..4", scan.Actual.Workers)
+	if bound := min(4, scan.Actual.Morsels); scan.Actual.Workers < 1 || scan.Actual.Workers > bound {
+		t.Errorf("Workers = %d, want 1..%d (min(Workers, morsels))", scan.Actual.Workers, bound)
 	}
-	if scan.Actual.Steals < 0 || scan.Actual.Steals > scan.Actual.Morsels {
-		t.Errorf("Steals = %d outside [0, %d]", scan.Actual.Steals, scan.Actual.Morsels)
+	if scan.Actual.Steals != 0 {
+		t.Errorf("Steals = %d, want 0", scan.Actual.Steals)
 	}
 	text := plan.Text()
 	if want := fmt.Sprintf("morsels=%d", scan.Actual.Morsels); !strings.Contains(text, want) {
@@ -124,11 +127,10 @@ func TestExplainAnalyzeReportsMorsels(t *testing.T) {
 }
 
 // TestCloseDuringStealLeaksNoGoroutines closes queries mid-flight — small
-// morsels, small batches, an 8-way pool over 8 shards, so cancellation
-// lands while workers are actively pulling and stealing units — and then
-// requires the goroutine count to return to its pre-query baseline: pool
-// workers exit when the queues drain, and no scan, gather, or finish
-// goroutine may outlive its query. Each interrupted stream must also mark
+// morsels, small batches, 8 workers over 8 shards, so cancellation lands
+// while workers are actively claiming morsels — and then requires the
+// goroutine count to return to its pre-query baseline: no scan worker,
+// gather, or finish goroutine may outlive its query. Each interrupted stream must also mark
 // itself interrupted (the cancel is user-initiated, so Err stays nil).
 func TestCloseDuringStealLeaksNoGoroutines(t *testing.T) {
 	e, _ := shardedArchive(t, 8000, 11, 8)
@@ -136,8 +138,8 @@ func TestCloseDuringStealLeaksNoGoroutines(t *testing.T) {
 	e.morselTarget = 32
 	e.batchRows = 8
 
-	// Warm the pool machinery once so lazily created state (the pool
-	// struct) is excluded from the baseline.
+	// Warm the engine once so lazily created state is excluded from the
+	// baseline.
 	rows, err := e.ExecuteString(context.Background(), "SELECT objid FROM tag LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
@@ -145,16 +147,8 @@ func TestCloseDuringStealLeaksNoGoroutines(t *testing.T) {
 	if _, err := rows.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	// Let the warm-up query's pool workers exit before taking the baseline.
-	baseline := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n < baseline {
-			baseline = n
-		} else {
-			break
-		}
-	}
+	// Let the warm-up query's workers exit before taking the baseline.
+	baseline := settledGoroutines()
 
 	for iter := 0; iter < 20; iter++ {
 		rows, err := e.ExecuteString(context.Background(), "SELECT objid, ra, dec, r FROM tag")
@@ -177,23 +171,12 @@ func TestCloseDuringStealLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d now vs %d baseline\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline, "goroutines leaked")
 }
 
-// TestMorselFastPathSingleContainer pins the dispatch fast path: a plan
-// whose coverage reduces to one morsel must not touch the shared pool —
-// the unit runs on a plain goroutine and EXPLAIN reports zero steals with
-// one worker.
+// TestMorselFastPathSingleContainer pins the one-morsel case: a plan whose
+// coverage reduces to one morsel runs on one goroutine, and EXPLAIN
+// reports one worker and zero steals.
 func TestMorselFastPathSingleContainer(t *testing.T) {
 	e, _ := shardedArchive(t, 300, 5, 1) // small survey, single shard
 	e.morselTarget = 1 << 20             // every container fits one morsel
@@ -210,80 +193,142 @@ func TestMorselFastPathSingleContainer(t *testing.T) {
 		t.Fatalf("Morsels = %d, want 1 (one morsel covers the whole table)", scan.Actual.Morsels)
 	}
 	if scan.Actual.Steals != 0 {
-		t.Errorf("Steals = %d on the single-morsel fast path", scan.Actual.Steals)
+		t.Errorf("Steals = %d, want 0", scan.Actual.Steals)
 	}
 	if scan.Actual.Workers != 1 {
-		t.Errorf("Workers = %d, want 1", scan.Actual.Workers)
+		t.Errorf("Workers = %d, want 1 (min(Workers, morsels))", scan.Actual.Workers)
 	}
 }
 
 // TestStalledConsumerParksOnlyItsQuery is the cross-query starvation
-// property: a query whose consumer never reads must park only itself. On a
-// one-worker pool, with morsels and batches small enough that the stalled
-// scan outruns its stream's buffer at once, a stream, a fold and a top-N
-// started afterwards must each finish, and closing the stalled query must
-// return the goroutine count to its baseline. How many goroutines the
-// stalled query parks is logged, not bounded.
+// property: a query whose consumer never reads must park only itself, and
+// only its own scan's workers. With morsels and batches small enough that
+// the stalled scan outruns its stream's buffer at once, a stream, a fold
+// and a top-N started afterwards must each finish; the stalled query may
+// hold at most Workers + 2 goroutines above baseline (its scan's workers
+// blocked in their sends, plus the stream's plumbing); and closing it must
+// return the goroutine count to its baseline.
 func TestStalledConsumerParksOnlyItsQuery(t *testing.T) {
 	e, _ := coverArchive(t, 20000, 1, 4, 1)
-	e.Workers = 1
 	e.morselTarget = 64
 	e.batchRows = 8
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e.Workers = workers
+			// Warm the engine once so lazily created state is excluded
+			// from the baseline.
+			mustCollect(t, e, "SELECT objid FROM tag LIMIT 1")
+			baseline := settledGoroutines()
 
-	// Warm the pool once so lazily created state is excluded from the
-	// baseline, then let the warm-up's workers exit.
-	mustCollect(t, e, "SELECT objid FROM tag LIMIT 1")
-	baseline := runtime.NumGoroutine()
+			stalled, err := e.ExecuteString(context.Background(), "SELECT objid, r FROM tag")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stalled.Close()
+			for _, q := range []string{
+				"SELECT objid, r FROM tag WHERE r < 20",
+				"SELECT COUNT(*) FROM tag WHERE g - r > 0.3",
+				"SELECT objid, r FROM tag ORDER BY r LIMIT 10",
+			} {
+				start := time.Now()
+				done := make(chan error, 1)
+				go func() {
+					rows, err := e.ExecuteString(context.Background(), q)
+					if err == nil {
+						_, err = rows.Collect()
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					t.Logf("%s: %v beside the stalled query", q, time.Since(start))
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s did not finish within 10s beside a stalled query", q)
+				}
+			}
+			waitGoroutines(t, baseline+workers+2, "the stalled query parks more than Workers + 2 goroutines")
+			t.Logf("stalled query parks %d goroutines above baseline", runtime.NumGoroutine()-baseline)
+
+			stalled.Close()
+			waitGoroutines(t, baseline, "goroutines leaked")
+		})
+	}
+}
+
+// settledGoroutines is the goroutine count once the goroutines of queries
+// that already returned have exited: it polls until the count stops
+// falling, for at most 5s.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n < baseline {
-			baseline = n
-		} else {
+		m := runtime.NumGoroutine()
+		if m >= n {
 			break
 		}
+		n = m
 	}
+	return n
+}
 
-	stalled, err := e.ExecuteString(context.Background(), "SELECT objid, r FROM tag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		"SELECT objid, r FROM tag WHERE r < 20",
-		"SELECT COUNT(*) FROM tag WHERE g - r > 0.3",
-		"SELECT objid, r FROM tag ORDER BY r LIMIT 10",
-	} {
-		start := time.Now()
-		done := make(chan error, 1)
-		go func() {
-			rows, err := e.ExecuteString(context.Background(), q)
-			if err == nil {
-				_, err = rows.Collect()
-			}
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			t.Logf("%s: %v beside the stalled query", q, time.Since(start))
-		case <-time.After(10 * time.Second):
-			stalled.Close()
-			t.Fatalf("%s did not finish within 10s beside a stalled query", q)
+// waitGoroutines waits up to 10s for the goroutine count to fall to at
+// most limit, and fails with every goroutine's stack if it does not.
+func waitGoroutines(t *testing.T, limit int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		n := runtime.NumGoroutine()
+		if n <= limit {
+			return
 		}
-	}
-	t.Logf("stalled query parks %d goroutines above baseline", runtime.NumGoroutine()-baseline)
-
-	stalled.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			break
-		} else if time.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d now vs %d baseline\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%s: %d goroutines now, want at most %d\n%s", what, n, limit, buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// BenchmarkFirstBatch is the layer guard for the scan workers' yield after
+// each hand-off (scanJob.emit): the export workload's statement at
+// Workers 2, run by two concurrent consumers that each spend about 1.5 µs
+// per row, as a format writer does. first-batch-ns/op is the mean time
+// from Execute to the first batch in a consumer's hand.
+func BenchmarkFirstBatch(b *testing.B) {
+	e, _ := coverArchive(b, 50000, 1, 4, 1)
+	e.Workers = 2
+	const q = "SELECT objid, ra, dec, u, g, r, i, z FROM tag WHERE r < 21.5"
+	const perRow = 1500 * time.Nanosecond
+	var firstNs atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				rows, err := e.ExecuteString(context.Background(), q)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				first := true
+				for bt := range rows.C {
+					if first {
+						firstNs.Add(int64(time.Since(start)))
+						first = false
+					}
+					for t0 := time.Now(); time.Since(t0) < time.Duration(len(bt))*perRow; {
+					}
+				}
+				if err := rows.Err(); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	b.ReportMetric(float64(firstNs.Load())/float64(2*b.N), "first-batch-ns/op")
 }

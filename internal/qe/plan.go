@@ -390,20 +390,21 @@ var closedBatch = func() chan Batch {
 }()
 
 // open gathers the whole scan through one bounded MPSC stream — the
-// order-free ASAP path: every pool worker pushes into the same channel.
+// order-free ASAP path: every one of the scan's workers pushes into the
+// same channel.
 func (o *scanOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	if len(o.morsels) == 0 {
 		return o.instrument(ctx, rows, closedBatch)
 	}
 	j := o.newJob(ctx, rows, scanStream)
-	j.out = make(chan Batch, 2+2*o.e.getPool().size)
+	j.out = make(chan Batch, 2+2*o.e.workers())
 	j.dispatch()
 	return o.instrument(ctx, rows, j.out)
 }
 
 // openFold is the aggregate pushdown of the scan's own aggregate
-// (cs.Agg): the pool folds each container into an aggregate partial and
-// combines them in container-ID order, so the result is bit-identical
+// (cs.Agg): the scan's workers fold each container into an aggregate
+// partial, combined in container-ID order, so the result is bit-identical
 // across worker and shard counts.
 func (o *scanOp) openFold(ctx context.Context, rows *Rows) <-chan Batch {
 	j := o.newJob(ctx, rows, scanFold)
@@ -423,9 +424,8 @@ type setOp struct {
 
 // open starts the set operation. The deferred child (INTERSECT's right,
 // MINUS's left) is opened lazily by the run stage once the drained child
-// completed: an opened scan's morsels queue on the shared pool
-// immediately, and units blocked emitting into an unconsumed stream would
-// occupy the workers the draining side needs.
+// completed: an opened scan starts its workers at once, and they would run
+// ahead into a stream nothing reads yet.
 func (o *setOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	var out <-chan Batch
 	switch o.op {
@@ -470,7 +470,7 @@ func (o *sortOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 }
 
 // aggOp combines per-container partial aggregates (over a scan, pushed
-// onto the morsel pool) or folds a single stream (over a join) into the
+// into its workers) or folds a single stream (over a join) into the
 // one-row result.
 type aggOp struct {
 	opBase
@@ -491,7 +491,7 @@ func (e *Engine) newAggOp(agg query.AggFunc, in Operator, cost float64, analyze 
 
 func (o *aggOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 	if sc, ok := o.in.(*scanOp); ok {
-		// Aggregate pushdown: the pool folds per container and combines in
+		// Aggregate pushdown: the scan folds per container and combines in
 		// container order — no row stream to gather at all.
 		return o.instrument(ctx, rows, sc.openFold(ctx, rows))
 	}

@@ -57,8 +57,8 @@ const DefaultCoverDepth = 10
 // physical planner (plan.go) compiles each statement into an operator tree
 // with cost-chosen access paths, and ExecutePlan runs it. Each store may be
 // split into shard slices (store.Sharded); leaf scans are chunked into
-// container-run morsels executed by an engine-wide work-stealing pool
-// (morsel.go). A scan's rows gather into one shared MPSC stream, which
+// container-run morsels, which each scan runs on Workers goroutines of its
+// own (morsel.go). A scan's rows gather into one shared MPSC stream, which
 // ORDER BY sorts and the joins build or probe from; aggregates instead
 // combine per-container partials.
 type Engine struct {
@@ -70,9 +70,10 @@ type Engine struct {
 	// per table: each leaf covers only as deep as its store's record
 	// density can use (see coverDepthFor), at most DefaultCoverDepth.
 	CoverDepth int
-	// Workers sizes the engine-wide morsel pool: at most this many scan
-	// morsels run at once across every concurrent query (default
-	// GOMAXPROCS). Read at the pool's first dispatch.
+	// Workers is each scan's parallelism: a leaf scan runs its morsels on
+	// at most this many goroutines, as do the hash-join build and the
+	// neighbor join's build and probe (default GOMAXPROCS). It bounds each
+	// scan, not the engine: concurrent queries share GOMAXPROCS.
 	Workers int
 	// NoIndex disables HTM coverage pruning, forcing full-table scans.
 	// It exists for the index-versus-scan crossover experiment (E14).
@@ -83,12 +84,6 @@ type Engine struct {
 	// set them, to force many small morsels or batches.
 	morselTarget int
 	batchRows    int
-
-	// The engine-wide morsel scheduler (morsel.go), created on first
-	// dispatch and shared by every query on this engine. The sync.Once
-	// also makes go vet's copylocks check reject any copy of an Engine.
-	poolOnce sync.Once
-	pl       *pool
 }
 
 // coverDepthFor is the depth a leaf over st covers its region to: the
@@ -124,11 +119,10 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PoolSize reports the morsel pool's worker slot count. Creating the pool
-// is free (workers spawn on demand), so this is safe to call on an idle
-// engine and always matches what dispatches will use.
-func (e *Engine) PoolSize() int {
-	return e.getPool().size
+// ScanWorkers reports the goroutines each scan runs its morsels on at
+// most: Workers, or GOMAXPROCS when Workers is 0.
+func (e *Engine) ScanWorkers() int {
+	return e.workers()
 }
 
 func (e *Engine) batchSize() int {
@@ -419,8 +413,8 @@ func (e *Engine) runUnion(ctx context.Context, left, right <-chan Batch, rows *R
 // runIntersect drains the left child into a hash set (one child must be
 // complete before results can be sent further up the tree), then opens and
 // streams the right child through it. The right child stays unopened until
-// the left completed: its morsels would otherwise hold shared-pool workers
-// blocked on an unconsumed stream.
+// the left completed: opened, its scan would run ahead into a stream nothing
+// reads yet.
 func (e *Engine) runIntersect(ctx context.Context, left <-chan Batch, openRight func() <-chan Batch, rows *Rows) <-chan Batch {
 	out := make(chan Batch, 4)
 	go func() {
@@ -463,7 +457,7 @@ func (e *Engine) runIntersect(ctx context.Context, left <-chan Batch, openRight 
 
 // runMinus drains the right child (the subtrahend must be complete), then
 // opens and streams the left child filtered against it. The left child is
-// deferred for the same shared-pool reason as runIntersect's right.
+// deferred for the same reason as runIntersect's right.
 func (e *Engine) runMinus(ctx context.Context, openLeft func() <-chan Batch, right <-chan Batch, rows *Rows) <-chan Batch {
 	out := make(chan Batch, 4)
 	go func() {

@@ -260,8 +260,7 @@ func (w *scanWorker) sortKey(i int) float64 {
 // empty heap instead, and for an aggregate fold nothing at all: the job
 // points fold at each container's partial. Values of all a batch's results
 // are carved out of one backing array sized for a full batch, so the
-// per-record path allocates nothing. The worker's emit is bound per morsel
-// by the scheduler.
+// per-record path allocates nothing. The scan job binds the worker's emit.
 func newScanWorker(e *Engine, o *scanOp, fold bool) *scanWorker {
 	bs := e.batchSize()
 	reader := colblk.NewReader()

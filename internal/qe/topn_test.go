@@ -17,7 +17,7 @@ import (
 // predicates: "g - r >= 0" rejects exactly the NaN-keyed rows an
 // ascending key check admits first, and "ra - r > 150" rejects rows of
 // every key. N runs from one row to past the table, at every combination
-// of pool size and shard count; small morsels make the pool fan out, so
+// of Workers and shard count; small morsels make the scan fan out, so
 // several workers hold heaps.
 func TestTopNMatchesReference(t *testing.T) {
 	queries := []string{
@@ -124,18 +124,10 @@ func TestTopNCloseLeaksNoGoroutines(t *testing.T) {
 	const q = "SELECT objid, ra, dec, r FROM tag ORDER BY r DESC LIMIT 100"
 	want := refCollect(t, e, q)
 
-	// Warm the pool machinery so lazily created state is excluded from the
-	// baseline, then let the warm-up's pool workers exit.
+	// Warm the engine so lazily created state is excluded from the
+	// baseline, then let the warm-up's workers exit.
 	mustCollect(t, e, q)
-	baseline := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-		if n := runtime.NumGoroutine(); n < baseline {
-			baseline = n
-		} else {
-			break
-		}
-	}
+	baseline := settledGoroutines()
 
 	for iter := 0; iter < 20; iter++ {
 		// Close mid-scan: the workers have emitted nothing yet.
@@ -183,15 +175,5 @@ func TestTopNCloseLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d now vs %d baseline\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline, "goroutines leaked")
 }

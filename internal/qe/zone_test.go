@@ -254,7 +254,7 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	e, photo, _ := testArchive(t, 8000, 11)
 	e.Workers = 2
 	q := "SELECT objid, r FROM tag WHERE r < 30" // matches everything
-	// Warm the engine's morsel pool and count rows once.
+	// Warm the engine and count rows once.
 	rows := len(mustCollect(t, e, q))
 	if rows < len(photo)/2 {
 		t.Fatalf("unexpected row count %d", rows)
@@ -314,7 +314,7 @@ func TestFoldAllocatesNoBatchPerContainer(t *testing.T) {
 				t.Fatalf("%s: %d rows, err %v", q, len(res), err)
 			}
 		}
-		run() // start the engine's morsel pool
+		run() // warm the engine
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
