@@ -2,8 +2,9 @@
 // (zones.go) is the index the NEIGHBORS join builds: the zones algorithm of
 // Gray, Nieto-Santisteban and Szalay — declination zones of about the
 // radius's height, each sorted by ra, probed by binary-searching the ra
-// window of every zone a probe's circle spans. It needs no spatial index and
-// stores every build row once.
+// window of every zone a probe's circle spans, or, for a self-join, merged
+// zone against zone. It needs no spatial index and stores every build row
+// once.
 //
 // SpatialIndex (this file) is the HTM-partitioned index the join used
 // before: build rows hashed into coarse trixel partitions with exact margin

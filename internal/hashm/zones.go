@@ -18,7 +18,9 @@ import (
 // spans and, in each, binary-searches the ra window the circle can reach.
 // There are no trixels, no per-item coverage and no replication: every build
 // item is stored once, and candidates are decided by the exact dot-product
-// test. Build with NewZones; Match is then safe for concurrent use.
+// test. A self-join needs no probes at all: SelfPairs merges each zone with
+// itself and with the zones above it. Build with NewZones; Match and
+// SelfPairs are then safe for concurrent use.
 type Zones struct {
 	radius, cosR, h float64
 	// Zone k holds ents[start[k]:start[k+1]], sorted by (ra, row).
@@ -123,14 +125,8 @@ func NewZones(radius float64, items []Item, parts int, run func(n int, fn func(i
 	}
 
 	// Sort each zone by (ra, row), in runs of consecutive zones.
-	parts = min(parts, nz)
-	cuts := make([]int, parts+1)
-	for p := 1; p < parts; p++ {
-		target := int32(n * p / parts)
-		cuts[p] = sort.Search(nz, func(k int) bool { return z.start[k] >= target })
-	}
-	cuts[parts] = nz
-	sortRun := func(p int) {
+	cuts := z.Cuts(parts)
+	run(len(cuts)-1, func(p int) {
 		for k := cuts[p]; k < cuts[p+1]; k++ {
 			slices.SortFunc(z.ents[z.start[k]:z.start[k+1]], func(a, b zoneEntry) int {
 				if c := cmp.Compare(a.ra, b.ra); c != 0 {
@@ -139,9 +135,23 @@ func NewZones(radius float64, items []Item, parts int, run func(n int, fn func(i
 				return cmp.Compare(a.row, b.row)
 			})
 		}
-	}
-	run(parts, sortRun)
+	})
 	return z, nil
+}
+
+// Cuts splits the zones into up to parts runs of consecutive zones of about
+// equal item count: run p is zones cuts[p] to cuts[p+1]-1. There is at
+// least one run and never more runs than zones.
+func (z *Zones) Cuts(parts int) []int {
+	nz, n := len(z.alpha), len(z.ents)
+	parts = max(min(parts, nz), 1)
+	cuts := make([]int, parts+1)
+	for p := 1; p < parts; p++ {
+		target := int32(n * p / parts)
+		cuts[p] = sort.Search(nz, func(k int) bool { return z.start[k] >= target })
+	}
+	cuts[parts] = nz
+	return cuts
 }
 
 // decOf is a unit vector's declination in radians.
@@ -176,26 +186,40 @@ func (z *Zones) Match(dst []int32, id catalog.ObjID, pos sphere.Vec3) []int32 {
 		if len(ents) == 0 {
 			continue
 		}
-		a := z.alpha[k]
-		lo, hi := ra-a, ra+a
-		switch {
-		case a >= math.Pi:
-			dst = z.window(dst, ents, math.Inf(-1), math.Inf(1), id, pos)
-		case lo < 0: // the window crosses ra 0 from above
-			dst = z.window(dst, ents, math.Inf(-1), hi, id, pos)
-			dst = z.window(dst, ents, lo+2*math.Pi, math.Inf(1), id, pos)
-		case hi > 2*math.Pi: // the window crosses ra 2π from below
-			dst = z.window(dst, ents, lo, math.Inf(1), id, pos)
-			dst = z.window(dst, ents, math.Inf(-1), hi-2*math.Pi, id, pos)
-		default:
-			dst = z.window(dst, ents, lo, hi, id, pos)
+		lo, hi, lo2, hi2 := raWindows(ra, z.alpha[k])
+		dst = z.window(dst, ents, lo, hi, id, pos)
+		if lo2 <= hi2 {
+			dst = z.window(dst, ents, lo2, hi2, id, pos)
 		}
 	}
 	return dst
 }
 
-// window tests the entries of one zone whose ra lies in [lo, hi].
-func (z *Zones) window(dst []int32, ents []zoneEntry, lo, hi float64, id catalog.ObjID, pos sphere.Vec3) []int32 {
+// raWindows is the ra window of half-width a around ra, across the 0/2π
+// seam: the interval [lo, hi], and a second interval [lo2, hi2] that is
+// empty (lo2 > hi2) unless the window crosses the seam. When a ≥ π the
+// first interval is the whole circle. For a < π the two are disjoint, so
+// no entry lies in both.
+func raWindows(ra, a float64) (lo, hi, lo2, hi2 float64) {
+	lo, hi, lo2, hi2 = ra-a, ra+a, inf, -inf
+	switch {
+	case a >= math.Pi:
+		lo, hi = -inf, inf
+	case lo < 0: // the window crosses ra 0 from above
+		lo2, hi2 = lo+2*math.Pi, inf
+	case hi > 2*math.Pi: // the window crosses ra 2π from below
+		lo2, hi2 = -inf, hi-2*math.Pi
+	}
+	return lo, hi, lo2, hi2
+}
+
+// inf is a variable, not math.Inf calls, so that raWindows stays within
+// the inliner's budget: it runs for every row and zone a merge visits.
+var inf = math.Inf(1)
+
+// search is the index of the first entry of ents, sorted by ra, whose ra
+// is at least lo.
+func search(ents []zoneEntry, lo float64) int {
 	i, j := 0, len(ents)
 	for i < j {
 		m := int(uint(i+j) >> 1)
@@ -205,11 +229,91 @@ func (z *Zones) window(dst []int32, ents []zoneEntry, lo, hi float64, id catalog
 			j = m
 		}
 	}
-	for ; i < len(ents) && ents[i].ra <= hi; i++ {
+	return i
+}
+
+// window tests the entries of one zone whose ra lies in [lo, hi].
+func (z *Zones) window(dst []int32, ents []zoneEntry, lo, hi float64, id catalog.ObjID, pos sphere.Vec3) []int32 {
+	for i := search(ents, lo); i < len(ents) && ents[i].ra <= hi; i++ {
 		e := &ents[i]
 		if e.id != id && sphere.CosDist(pos, e.pos) >= z.cosR {
 			dst = append(dst, e.row)
 		}
 	}
 	return dst
+}
+
+// SelfPairs calls fn(a, b) once for every unordered pair of indexed items
+// within radius of each other whose lower-zone item lies in zones k0 to
+// k1-1 (a pair within one zone counts for that zone), except pairs of equal
+// ID, and returns true; it stops and returns false as soon as fn does. This
+// is the zones algorithm's merge: each zone is paired with itself and with
+// every zone above it that its highest item can reach, and every item of
+// the lower zone tests the upper zone's entries in its ra window of
+// ±min(α) — each zone's half-window bounds every pair's |Δra| from its own
+// side, so the narrower one does too. Ranges from Cuts cover every pair
+// exactly once, so they can run concurrently.
+func (z *Zones) SelfPairs(k0, k1 int, fn func(a, b int32) bool) bool {
+	for k := k0; k < k1; k++ {
+		lower := z.ents[z.start[k]:z.start[k+1]]
+		if len(lower) == 0 {
+			continue
+		}
+		top := &lower[0]
+		for i := range lower {
+			if lower[i].pos.Z > top.pos.Z {
+				top = &lower[i]
+			}
+		}
+		last := z.zone(decOf(top.pos) + z.radius + zoneSlack)
+		for j := k; j <= last; j++ {
+			upper := z.ents[z.start[j]:z.start[j+1]]
+			if len(upper) > 0 && !z.merge(lower, upper, j == k, min(z.alpha[k], z.alpha[j]), fn) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// merge tests every item of a against the entries of b in its raWindows
+// of half-width w. The items of a come in ra order, so the first window's
+// low end only grows and a sliding pointer finds it; the seam window is
+// binary-searched. With self (a and b are one zone) an item tests only the
+// entries after it, all at or above its ra: the windows are symmetric, so
+// each unordered pair is tested once, from its earlier entry.
+func (z *Zones) merge(a, b []zoneEntry, self bool, w float64, fn func(a, b int32) bool) bool {
+	s := 0 // first entry of b at or above the first window's low end
+	for i := range a {
+		x := &a[i]
+		lo, hi, lo2, hi2 := raWindows(x.ra, w)
+		m, ents := 0, b
+		if self {
+			ents = b[i+1:]
+		} else {
+			for s < len(b) && b[s].ra < lo {
+				s++
+			}
+			m = s
+		}
+		for ; m < len(ents) && ents[m].ra <= hi; m++ {
+			if !z.test(x, &ents[m], fn) {
+				return false
+			}
+		}
+		if lo2 <= hi2 {
+			for m := search(ents, lo2); m < len(ents) && ents[m].ra <= hi2; m++ {
+				if !z.test(x, &ents[m], fn) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// test calls fn on the pair (x, y) if it is within radius and not an
+// identity pair, and reports whether to go on.
+func (z *Zones) test(x, y *zoneEntry, fn func(a, b int32) bool) bool {
+	return x.id == y.id || sphere.CosDist(x.pos, y.pos) < z.cosR || fn(x.row, y.row)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sdss/internal/catalog"
+	"sdss/internal/skygen"
 	"sdss/internal/sphere"
 )
 
@@ -74,9 +75,46 @@ func parallelRun(n int, fn func(int)) {
 	wg.Wait()
 }
 
+// brutePairs is the O(n²) reference for SelfPairs: every unordered pair of
+// items within radius, equal IDs excluded, as (lower row, higher row).
+func brutePairs(items []Item, cosR float64) map[[2]int32]bool {
+	pairs := map[[2]int32]bool{}
+	for i := range items {
+		for j := i + 1; j < len(items); j++ {
+			a, b := items[i], items[j]
+			if a.ID != b.ID && sphere.CosDist(a.Pos, b.Pos) >= cosR {
+				pairs[[2]int32{min(a.Row, b.Row), max(a.Row, b.Row)}] = true
+			}
+		}
+	}
+	return pairs
+}
+
+// selfPairs runs SelfPairs over z's Cuts(parts) ranges concurrently and
+// counts how often each unordered pair was reported.
+func selfPairs(z *Zones, parts int) map[[2]int32]int {
+	cuts := z.Cuts(parts)
+	found := make([][][2]int32, len(cuts)-1)
+	parallelRun(len(cuts)-1, func(p int) {
+		z.SelfPairs(cuts[p], cuts[p+1], func(a, b int32) bool {
+			found[p] = append(found[p], [2]int32{min(a, b), max(a, b)})
+			return true
+		})
+	})
+	got := map[[2]int32]int{}
+	for _, f := range found {
+		for _, pr := range f {
+			got[pr]++
+		}
+	}
+	return got
+}
+
 // TestNeighborZonesMatchBruteForce: for radii from 1″ to 90°, every probe's
 // matches must be exactly the brute-force set — no pair lost at a zone edge,
-// the RA seam or a pole, none reported twice — whatever the sort split.
+// the RA seam or a pole, none reported twice — whatever the sort split. The
+// merge arm holds SelfPairs to the same standard over random skies: every
+// brute-force unordered pair exactly once, whatever the zone ranges.
 func TestNeighborZonesMatchBruteForce(t *testing.T) {
 	build := zoneFixture(500, 1, 0)
 	probes := zoneFixture(400, 2, 1<<40)
@@ -110,6 +148,44 @@ func TestNeighborZonesMatchBruteForce(t *testing.T) {
 			}
 			if pairs == 0 {
 				t.Fatalf("radius %g″: degenerate fixture, no pairs", radius/sphere.Arcsec)
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		items := zoneFixture(400, seed, 0)
+		// An identity pair, and pairs close enough for the 1″ radius: a
+		// twin 0.5″ from an item and a pair 0.13″ apart across the seam at
+		// dec 80°.
+		add := func(id catalog.ObjID, pos sphere.Vec3) {
+			items = append(items, Item{ID: id, Pos: pos, Row: int32(len(items))})
+		}
+		add(items[5].ID, items[5].Pos)
+		ra, dec := sphere.ToRADec(items[6].Pos)
+		add(1<<41, sphere.FromRADec(ra, dec+0.5/3600))
+		add(1<<41+1, sphere.FromRADec(360-1e-4, 80))
+		add(1<<41+2, sphere.FromRADec(1e-4, 80))
+		for _, radius := range radii {
+			want := brutePairs(items, math.Cos(radius))
+			if len(want) == 0 {
+				t.Fatalf("seed %d radius %g″: degenerate fixture, no pairs", seed, radius/sphere.Arcsec)
+			}
+			for _, parts := range []int{1, 2, 4} {
+				z, err := NewZones(radius, items, parts, parallelRun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := selfPairs(z, parts)
+				for pr, n := range got {
+					if n != 1 || !want[pr] {
+						t.Fatalf("seed %d radius %g″ parts %d: pair %v reported %d times, in brute force %v",
+							seed, radius/sphere.Arcsec, parts, pr, n, want[pr])
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d radius %g″ parts %d: %d pairs, brute force %d",
+						seed, radius/sphere.Arcsec, parts, len(got), len(want))
+				}
 			}
 		}
 	}
@@ -166,4 +242,55 @@ func TestNeighborZonesRejectsBadRadius(t *testing.T) {
 			t.Errorf("radius %g accepted", r)
 		}
 	}
+}
+
+// BenchmarkZones times the zone index at the mining workload's density (the
+// 50k-object survey) and 0.5′ radius, on one goroutine: build, a Match for
+// every item (the probe path of a NEIGHBORS join between two tables), and
+// SelfPairs over all zones (a self-join's merge).
+func BenchmarkZones(b *testing.B) {
+	photo, _, err := skygen.GenerateAll(skygen.Default(1, 50000), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := make([]Item, len(photo))
+	for i := range photo {
+		items[i] = Item{ID: photo[i].ObjID, Pos: photo[i].Pos(), Row: int32(i)}
+	}
+	radius := 0.5 * sphere.Arcmin
+	z, err := NewZones(radius, items, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := NewZones(radius, items, 1, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("match", func(b *testing.B) {
+		var dst []int32
+		pairs := 0
+		for b.Loop() {
+			pairs = 0
+			for i := range items {
+				dst = z.Match(dst[:0], items[i].ID, items[i].Pos)
+				pairs += len(dst)
+			}
+		}
+		b.ReportMetric(float64(pairs), "pairs/op")
+	})
+	b.Run("selfpairs", func(b *testing.B) {
+		pairs := 0
+		for b.Loop() {
+			pairs = 0
+			z.SelfPairs(0, len(z.alpha), func(_, _ int32) bool {
+				pairs++
+				return true
+			})
+		}
+		b.ReportMetric(float64(2*pairs), "pairs/op")
+	})
 }

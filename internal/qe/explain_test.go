@@ -182,12 +182,15 @@ var planShapes = []string{
 	"SELECT objid FROM tag WHERE r < 20 UNION SELECT objid FROM tag WHERE g < 18 AND g > 21",
 }
 
-// leafSelects lists a statement's leaf selects in plan-tree order: a join's
-// left then right side, a set operation's left then right branch.
+// leafSelects lists a statement's distinct leaf selects in plan-tree order:
+// a join's left then right side (one, when the sides share a scan), a set
+// operation's left then right branch.
 func leafSelects(p *query.Prepared) []*query.CompiledSelect {
 	switch {
 	case p.Select != nil:
 		return []*query.CompiledSelect{p.Select}
+	case p.Join != nil && p.Join.Right == p.Join.Left:
+		return []*query.CompiledSelect{p.Join.Left}
 	case p.Join != nil:
 		return []*query.CompiledSelect{p.Join.Left, p.Join.Right}
 	default:
@@ -197,8 +200,9 @@ func leafSelects(p *query.Prepared) []*query.CompiledSelect {
 
 // TestPlanEveryStatementShape plans every statement shape on a three-table
 // archive: Describe and Text render, join and set-op nodes have two
-// children, the text has one line per operator, and each scan carries the
-// zone bounds its WHERE yields.
+// children (a self-join on one shared scan, BUILD self, has one), the text
+// has one line per operator, and each scan carries the zone bounds its
+// WHERE yields.
 func TestPlanEveryStatementShape(t *testing.T) {
 	e, _, _ := testArchive(t, 3000, 5)
 	for _, q := range planShapes {
@@ -221,8 +225,12 @@ func TestPlanEveryStatementShape(t *testing.T) {
 			case "scan":
 				scans = append(scans, n)
 			case "hash-join", "neighbor-join", "union", "intersect", "minus":
-				if len(n.Children) != 2 {
-					t.Errorf("%q: %s node has %d children, want 2", q, n.Op, len(n.Children))
+				want := 2
+				if n.BuildSide == "self" {
+					want = 1
+				}
+				if len(n.Children) != want {
+					t.Errorf("%q: %s node has %d children, want %d", q, n.Op, len(n.Children), want)
 				}
 			}
 			for _, c := range n.Children {

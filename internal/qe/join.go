@@ -13,7 +13,12 @@
 //     declination zones of about the radius's height and sorted by ra within
 //     each zone; the probe side then streams through the zones on Workers
 //     goroutines, pairs flowing out as probe batches arrive, without
-//     materializing the probe input.
+//     materializing the probe input. A self-join whose two sides push down
+//     the same filter has one input (BUILD self): its scan is drained and
+//     zoned once, and the zones' forward merge (Zones.SelfPairs) finds every
+//     unordered pair once, on Workers goroutines over zone ranges, with no
+//     probe at all. Each pair is emitted in both orders, so the objid
+//     comparison and the residual decide it as they decide a probed pair.
 //
 // Both operators read each side as the one gathered stream of its leaf
 // scan. The scans' morsels already run in parallel on each scan's workers,
@@ -24,6 +29,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"sdss/internal/hashm"
 	"sdss/internal/htm"
@@ -33,17 +39,19 @@ import (
 )
 
 // planJoin plans a two-table leaf: both side scans (each with its own
-// cost-based access path), the join operator with its build side chosen by
-// estimated cardinality, and the statement's aggregate / sort / limit
-// wrappers.
+// cost-based access path) — one scan when the two sides share it — the
+// join operator with its build side chosen by estimated cardinality, and
+// the statement's aggregate / sort / limit wrappers.
 func (e *Engine) planJoin(cj *query.CompiledJoin, analyze bool) (Operator, error) {
 	left, err := e.planLeaf(cj.Left, analyze)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.planLeaf(cj.Right, analyze)
-	if err != nil {
-		return nil, err
+	right := left
+	if cj.Right != cj.Left {
+		if right, err = e.planLeaf(cj.Right, analyze); err != nil {
+			return nil, err
+		}
 	}
 	estL, estR := left.info.EstRows, right.info.EstRows
 	cost := left.info.EstCost + right.info.EstCost
@@ -75,12 +83,18 @@ func (e *Engine) planJoin(cj *query.CompiledJoin, analyze bool) (Operator, error
 		op = j
 	case query.JoinNeighbors:
 		// Build the zones on the smaller estimated input, stream the larger
-		// through them.
+		// through them. A shared scan builds once and merges the zones.
 		//lint:skylint-ignore nansafe cost estimates, not attribute values; either build side is correct
 		buildLeft := estL <= estR
 		side := "right"
 		if buildLeft {
 			side = "left"
+		}
+		children := []Operator{left, right}
+		inputs := estL + estR
+		if left == right {
+			side, children = "self", children[:1]
+			cost, inputs = left.info.EstCost, estL
 		}
 		est := e.neighborEstRows(cj, left, right)
 		j := &neighborJoinOp{e: e, cj: cj, buildLeft: buildLeft, left: left, right: right}
@@ -93,10 +107,10 @@ func (e *Engine) planJoin(cj *query.CompiledJoin, analyze bool) (Operator, error
 				ZoneHeightArcmin: hashm.ZoneHeight(cj.Radius, int(min(estL, estR, math.MaxInt32))) / sphere.Arcmin,
 				Filter:           cj.ResidualStr,
 				EstRows:          est,
-				EstCost:          cost + estL + estR + est,
+				EstCost:          cost + inputs + est,
 			},
 			stats:    newStats(analyze),
-			children: []Operator{left, right},
+			children: children,
 		}
 		op = j
 	}
@@ -510,6 +524,10 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		if rows.stop(ctx) {
 			return
 		}
+		if o.left == o.right {
+			o.merge(ctx, rows, zones, built, out)
+			return
+		}
 		if o.stats != nil {
 			o.stats.workers.Store(int64(workers))
 		}
@@ -531,6 +549,47 @@ func (o *neighborJoinOp) open(ctx context.Context, rows *Rows) <-chan Batch {
 		wg.Wait()
 	}()
 	return o.instrument(ctx, rows, out)
+}
+
+// merge is a shared scan's pair phase: the zones' forward merge on
+// Workers goroutines, each over a run of zone ranges of about equal row
+// count and with its own emitter. It finds every unordered pair once and
+// emits it in both orders, so the ID predicate and the residual decide each
+// orientation exactly as they decide a probed pair. A pair they drop sends
+// nothing, so the merge checks the context itself, as the probe does once
+// per probe batch: before each range of about a batch of rows, and after
+// each batch of pairs found (one zone can hold far more than a batch at
+// large radii). Once the context fired, runParallel skips the parts not
+// yet begun; a skipped part marks the stream interrupted after it returns.
+func (o *neighborJoinOp) merge(ctx context.Context, rows *Rows, zones *hashm.Zones, built []Result, out chan Batch) {
+	batch := o.e.batchSize()
+	cuts := zones.Cuts(len(built) / batch)
+	ranges := len(cuts) - 1
+	parts := min(o.e.workers(), ranges)
+	if o.stats != nil {
+		o.stats.workers.Store(int64(parts))
+	}
+	var ran atomic.Int64
+	o.e.runParallel(ctx, parts, func(p int) {
+		ran.Add(1)
+		em := newPairEmitter(o.e, o.cj, rows, out)
+		pairs := 0
+		emit := func(a, b int32) bool {
+			if pairs++; pairs%batch == 0 && rows.stop(ctx) {
+				return false
+			}
+			return em.emit(ctx, &built[a], &built[b]) && em.emit(ctx, &built[b], &built[a])
+		}
+		for r := ranges * p / parts; r < ranges*(p+1)/parts; r++ {
+			if rows.stop(ctx) || !zones.SelfPairs(cuts[r], cuts[r+1], emit) {
+				return
+			}
+		}
+		em.flush(ctx)
+	})
+	if int(ran.Load()) < parts {
+		rows.stop(ctx)
+	}
 }
 
 // probe streams probe batches through the zones until the stream ends or

@@ -2,11 +2,14 @@ package qe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"sdss/internal/catalog"
 	"sdss/internal/load"
@@ -408,9 +411,12 @@ func TestNeighborJoinHugeObjIDsExact(t *testing.T) {
 
 // TestNeighborJoinPropertyGrid is the zones-join property test: across
 // random datasets, radii from 0.5′ to 5°, 1-versus-8 shards and 1, 2 or 4
-// probe goroutines, the join must produce exactly the brute-force all-pairs
-// set — no pair lost at a zone edge, none reported twice by concurrent
-// probes (the poles and the RA seam are TestNeighborJoinPolesAndWraparound's).
+// goroutines, the join must produce exactly the brute-force all-pairs set —
+// no pair lost at a zone edge, none reported twice by concurrent probes or
+// merged zone ranges (the poles and the RA seam are
+// TestNeighborJoinPolesAndWraparound's). Both paths run: the tag self-join
+// merges zones (one scan), and photoobj × tag, whose identity pairs are
+// excluded, probes them (two scans).
 func TestNeighborJoinPropertyGrid(t *testing.T) {
 	type pair struct{ a, b catalog.ObjID }
 	for seed := int64(21); seed <= 23; seed++ {
@@ -434,29 +440,53 @@ func TestNeighborJoinPropertyGrid(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("seed %d radius %g': degenerate dataset, no pairs", seed, radiusArcmin)
 			}
-			q := fmt.Sprintf(
-				"SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, %g) WHERE a.objid < b.objid",
-				radiusArcmin)
-			for shards, base := range map[int]*Engine{1: e1, 8: e8} {
-				for _, workers := range []int{1, 2, 4} {
-					e := &Engine{Photo: base.Photo, Tag: base.Tag, Spec: base.Spec, Workers: workers}
-					got := mustCollect(t, e, q)
-					if len(got) != len(want) {
-						t.Fatalf("seed %d radius %g' shards %d workers %d: join %d pairs, brute force %d",
-							seed, radiusArcmin, shards, workers, len(got), len(want))
-					}
-					seen := make(map[pair]bool, len(got))
-					for _, r := range got {
-						p := pair{catalog.ObjID(r.Values[0]), catalog.ObjID(r.Values[1])}
-						if !want[p] || seen[p] {
-							t.Fatalf("seed %d radius %g' shards %d workers %d: unexpected or repeated pair %v",
-								seed, radiusArcmin, shards, workers, p)
+			for _, q := range neighborPathQueries(radiusArcmin) {
+				for shards, base := range map[int]*Engine{1: e1, 8: e8} {
+					for _, workers := range []int{1, 2, 4} {
+						e := &Engine{Photo: base.Photo, Tag: base.Tag, Spec: base.Spec, Workers: workers}
+						got := mustCollect(t, e, q)
+						if len(got) != len(want) {
+							t.Fatalf("%s: seed %d shards %d workers %d: join %d pairs, brute force %d",
+								q, seed, shards, workers, len(got), len(want))
 						}
-						seen[p] = true
+						seen := make(map[pair]bool, len(got))
+						for _, r := range got {
+							p := pair{catalog.ObjID(r.Values[0]), catalog.ObjID(r.Values[1])}
+							if !want[p] || seen[p] {
+								t.Fatalf("%s: seed %d shards %d workers %d: unexpected or repeated pair %v",
+									q, seed, shards, workers, p)
+							}
+							seen[p] = true
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// neighborPathQueries is one each-pair-once statement per neighbor-join
+// path at a radius: the tag self-join, planned as one scan whose zones are
+// merged, and photoobj × tag, planned as two scans that build and probe.
+// Each plan's shape is checked, so neither statement can drift onto the
+// other path unnoticed.
+func neighborPathQueries(radiusArcmin float64) []string {
+	return []string{
+		fmt.Sprintf("SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, %g) WHERE a.objid < b.objid", radiusArcmin),
+		fmt.Sprintf("SELECT a.objid, b.objid FROM NEIGHBORS(photoobj a, tag b, %g) WHERE a.objid < b.objid", radiusArcmin),
+	}
+}
+
+// TestNeighborJoinPathsPlanned pins the plan each neighborPathQueries
+// statement takes: a self merge with one scan child, and a probe with two.
+func TestNeighborJoinPathsPlanned(t *testing.T) {
+	e, _, _ := joinArchive(t, 500, 21, 1)
+	qs := neighborPathQueries(2)
+	if d := mustPlan(t, e, qs[0]).Describe(); d.BuildSide != "self" || len(d.Children) != 1 {
+		t.Errorf("%s: build side %q with %d children, want self with 1", qs[0], d.BuildSide, len(d.Children))
+	}
+	if d := mustPlan(t, e, qs[1]).Describe(); d.BuildSide == "self" || len(d.Children) != 2 {
+		t.Errorf("%s: build side %q with %d children, want a probe with 2", qs[1], d.BuildSide, len(d.Children))
 	}
 }
 
@@ -466,7 +496,8 @@ func TestNeighborJoinPropertyGrid(t *testing.T) {
 // equator and one at dec 80° (where the 2′ circle's ra window, about ±11.5′,
 // is far wider than the pair's 0.6′ ra gap), plus a control object pairing
 // with nothing. Cartesian geometry must see 8 pairs no matter how the
-// containers split them or how many goroutines probe.
+// containers split them, how many goroutines probe or merge, or which path
+// (neighborPathQueries) the join takes.
 func TestNeighborJoinPolesAndWraparound(t *testing.T) {
 	fixtures := []struct{ ra, dec float64 }{
 		{0, 89.99}, {120, 89.99}, {240, 89.99}, // north polar triple
@@ -484,7 +515,6 @@ func TestNeighborJoinPolesAndWraparound(t *testing.T) {
 		}
 		photo = append(photo, p)
 	}
-	const q = "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 2) WHERE a.objid < b.objid"
 	for _, shards := range []int{1, 8} {
 		tgt, err := load.NewTarget("", 0, shards)
 		if err != nil {
@@ -494,47 +524,227 @@ func TestNeighborJoinPolesAndWraparound(t *testing.T) {
 			t.Fatal(err)
 		}
 		tgt.Sort()
-		for _, workers := range []int{1, 2, 4} {
-			e := &Engine{Photo: tgt.Photo, Tag: tgt.Tag, Spec: tgt.Spec, Workers: workers}
-			got := mustCollect(t, e, q)
-			if len(got) != 8 {
-				t.Fatalf("shards %d workers %d: polar/wraparound join found %d pairs, want 8 (3+3 polar, 2 seam)",
-					shards, workers, len(got))
-			}
-			for _, r := range got {
-				if r.Values[0] == 9 || r.Values[1] == 9 {
-					t.Fatalf("shards %d workers %d: control object paired: %v", shards, workers, r.Values)
+		for _, q := range neighborPathQueries(2) {
+			for _, workers := range []int{1, 2, 4} {
+				e := &Engine{Photo: tgt.Photo, Tag: tgt.Tag, Spec: tgt.Spec, Workers: workers}
+				got := mustCollect(t, e, q)
+				if len(got) != 8 {
+					t.Fatalf("%s: shards %d workers %d: polar/wraparound join found %d pairs, want 8 (3+3 polar, 2 seam)",
+						q, shards, workers, len(got))
+				}
+				for _, r := range got {
+					if r.Values[0] == 9 || r.Values[1] == 9 {
+						t.Fatalf("%s: shards %d workers %d: control object paired: %v", q, shards, workers, r.Values)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestNeighborJoinCancellation closes a spatial-join stream mid-production:
-// Close must return (no leaked probe or build goroutines — it blocks on the
-// tree), and the stream must be marked interrupted so a timeout wrapper can
-// tell a cut-short join from a completed one.
+// TestNeighborJoinCancellation closes spatial-join streams mid-production:
+// a self-join cut in its zone merge and a photoobj×tag join cut while
+// probing. Close must return, the stream must be marked interrupted so a
+// timeout wrapper can tell a cut-short join from a completed one, and every
+// goroutine of the join must exit.
 func TestNeighborJoinCancellation(t *testing.T) {
 	e, _, _ := joinArchive(t, 2000, 16, 2)
 	// A tiny batch size forces many channel sends, so the join is still
 	// producing when the first batch arrives.
 	e.batchRows = 4
-	prep, err := query.PrepareString(
-		"SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 30) WHERE a.objid < b.objid")
-	if err != nil {
+	for _, q := range []string{
+		"SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 30) WHERE a.objid < b.objid",
+		"SELECT p.objid, t.objid FROM NEIGHBORS(photoobj p, tag t, 30)",
+	} {
+		baseline := settledGoroutines()
+		prep, err := query.PrepareString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := e.Execute(context.Background(), prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-rows.C
+		rows.Close()
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: cancelled join reported error: %v", q, err)
+		}
+		if !rows.interrupted.Load() {
+			t.Fatalf("%s: cancelled mid-stream but not marked interrupted", q)
+		}
+		waitGoroutines(t, baseline, q+": goroutines leaked")
+	}
+}
+
+// TestNeighborSelfJoinTimeoutWhileMerging times out a self-join whose
+// residual drops every pair, so its zone merge sends nothing for as long as
+// it runs: the merge must notice the deadline itself and the stream must
+// end with ErrTimeout, long before the whole merge could finish (about 5 s
+// on one core of a 2-CPU Xeon VM, where scan and build take under 100 ms).
+func TestNeighborSelfJoinTimeoutWhileMerging(t *testing.T) {
+	e, _, _ := joinArchive(t, 16000, 16, 1)
+	const q = "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 5400) WHERE a.r < b.r - 30"
+	for _, workers := range []int{1, 2} {
+		e.Workers = workers
+		start := time.Now()
+		rows, err := e.ExecuteStringOpts(context.Background(), q, ExecOptions{Timeout: 200 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rows.Collect()
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("workers %d: the timed-out merge returned after %v", workers, elapsed)
+		}
+		if !errors.Is(err, ErrTimeout) || len(got) != 0 {
+			t.Errorf("workers %d: %d rows, err = %v, want no row and ErrTimeout", workers, len(got), err)
+		}
+	}
+}
+
+// TestNeighborSelfJoinGrid holds the self-join's zone merge to brute force
+// at Workers 1, 2 and 4 over 1 and 8 shards: every ID-predicate shape (with
+// none, each pair comes in both orders), a residual, the same pushed filter
+// on both sides (one shared scan) and differing ones (two scans), and a
+// COUNT(*) and an ORDER BY … LIMIT over the join.
+func TestNeighborSelfJoinGrid(t *testing.T) {
+	e1, photo, _ := joinArchive(t, 1500, 31, 1)
+	e8, _, _ := joinArchive(t, 1500, 31, 8)
+	const from = "FROM NEIGHBORS(tag a, tag b, 3)"
+	cosR := math.Cos(3 * sphere.Arcmin)
+	// Every ordered pair of distinct objects within the radius.
+	type pair struct{ a, b *catalog.PhotoObj }
+	var near []pair
+	for i := range photo {
+		for j := range photo {
+			if i != j && sphere.CosDist(photo[i].Pos(), photo[j].Pos()) >= cosR {
+				near = append(near, pair{&photo[i], &photo[j]})
+			}
+		}
+	}
+	r := func(p *catalog.PhotoObj) float32 { return p.Mag[catalog.R] }
+	ordered := func(a, b *catalog.PhotoObj) bool { return a.ObjID < b.ObjID }
+	type idPair [2]uint64
+	brute := func(keep func(a, b *catalog.PhotoObj) bool) []idPair {
+		var want []idPair
+		for _, p := range near {
+			if keep(p.a, p.b) {
+				want = append(want, idPair{uint64(p.a.ObjID), uint64(p.b.ObjID)})
+			}
+		}
+		return want
+	}
+	sortPairs := func(s []idPair) {
+		sort.Slice(s, func(i, j int) bool {
+			if s[i][0] != s[j][0] {
+				return s[i][0] < s[j][0]
+			}
+			return s[i][1] < s[j][1]
+		})
+	}
+	cases := []struct {
+		name, where string
+		keep        func(a, b *catalog.PhotoObj) bool
+		scans       int
+	}{
+		{"ordered", "a.objid < b.objid", ordered, 1},
+		{"distinct", "a.objid <> b.objid", func(a, b *catalog.PhotoObj) bool { return a.ObjID != b.ObjID }, 1},
+		{"both-orders", "", func(a, b *catalog.PhotoObj) bool { return true }, 1},
+		{"residual", "a.r < b.r", func(a, b *catalog.PhotoObj) bool { return r(a) < r(b) }, 1},
+		{"same-filter", "a.r < 21 AND b.r < 21 AND a.objid < b.objid",
+			func(a, b *catalog.PhotoObj) bool { return r(a) < 21 && r(b) < 21 && ordered(a, b) }, 1},
+		{"differing-filters", "a.r < 21 AND b.r < 20 AND a.objid < b.objid",
+			func(a, b *catalog.PhotoObj) bool { return r(a) < 21 && r(b) < 20 && ordered(a, b) }, 2},
+		{"differing-columns", "a.r < 21 AND b.g < 21 AND a.objid < b.objid",
+			func(a, b *catalog.PhotoObj) bool { return r(a) < 21 && b.Mag[catalog.G] < 21 && ordered(a, b) }, 2},
+	}
+	// COUNT(*) and the ORDER BY b.r DESC keys of the each-pair-once join.
+	var top []float64
+	for _, p := range near {
+		if ordered(p.a, p.b) {
+			top = append(top, float64(r(p.b)))
+		}
+	}
+	count := len(top)
+	sort.Sort(sort.Reverse(sort.Float64Slice(top)))
+	const limit = 25
+	top = top[:limit]
+
+	for shards, base := range map[int]*Engine{1: e1, 8: e8} {
+		for _, workers := range []int{1, 2, 4} {
+			e := &Engine{Photo: base.Photo, Tag: base.Tag, Spec: base.Spec, Workers: workers}
+			at := fmt.Sprintf("shards %d workers %d", shards, workers)
+			for _, c := range cases {
+				q := "SELECT a.objid, b.objid " + from
+				if c.where != "" {
+					q += " WHERE " + c.where
+				}
+				if n := mustPlan(t, e, q).Describe(); len(n.Children) != c.scans {
+					t.Fatalf("%s %s: neighbor join over %d scans, want %d", at, c.name, len(n.Children), c.scans)
+				}
+				want := brute(c.keep)
+				if len(want) == 0 {
+					t.Fatalf("%s: degenerate dataset, no pairs", c.name)
+				}
+				var got []idPair
+				for _, row := range mustCollect(t, e, q) {
+					got = append(got, idPair{uint64(row.Values[0]), uint64(row.Values[1])})
+				}
+				sortPairs(want)
+				sortPairs(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s: join %d pairs, brute force %d (or a pair differs)", at, c.name, len(got), len(want))
+				}
+			}
+
+			res := mustCollect(t, e, "SELECT COUNT(*) "+from+" WHERE a.objid < b.objid")
+			if len(res) != 1 || res[0].Values[0] != float64(count) {
+				t.Fatalf("%s: COUNT(*) = %v, brute force %d", at, res, count)
+			}
+			res = mustCollect(t, e, fmt.Sprintf(
+				"SELECT a.objid, b.objid, b.r %s WHERE a.objid < b.objid ORDER BY b.r DESC LIMIT %d", from, limit))
+			if len(res) != limit {
+				t.Fatalf("%s: ORDER BY … LIMIT %d returned %d rows", at, limit, len(res))
+			}
+			for i, row := range res {
+				if row.Values[2] != top[i] || row.Values[0] >= row.Values[1] {
+					t.Fatalf("%s: top row %d = %v, want b.r %g and a.objid < b.objid", at, i, row.Values, top[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborSelfJoinScansOnce is the deterministic evidence for the zone
+// merge: under ANALYZE, the mining workload's self-join on the
+// bench-density archive reads its table once — one scan child, join
+// rows_in equal to the table's row count, and bytes_decoded equal to one
+// standalone scan of the same columns. A filter that binds to one side only
+// keeps two scans.
+func TestNeighborSelfJoinScansOnce(t *testing.T) {
+	e, _ := coverArchive(t, 50000, 1, 4, 1)
+	plan, rows := openAnalyzed(t, e, "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 0.5) WHERE a.objid < b.objid")
+	if _, err := rows.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.Execute(context.Background(), prep)
-	if err != nil {
+	j := plan.Describe()
+	if j.Op != "neighbor-join" || j.BuildSide != "self" || len(j.Children) != 1 || j.Actual == nil {
+		t.Fatalf("self-join plan:\n%s", plan.Text())
+	}
+	if n := e.Tag.NumRecords(); j.Actual.RowsIn != n {
+		t.Errorf("join rows_in %d, want the table's %d rows", j.Actual.RowsIn, n)
+	}
+	solo, soloRows := openAnalyzed(t, e, "SELECT objid, cx, cy, cz FROM tag")
+	if _, err := soloRows.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	<-rows.C
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		t.Fatalf("cancelled join reported error: %v", err)
+	if got, want := j.Children[0].Actual.BytesDecoded, scanNode(t, solo).Actual.BytesDecoded; got != want || got == 0 {
+		t.Errorf("self-join scan decoded %d bytes, one standalone scan %d", got, want)
 	}
-	if !rows.interrupted.Load() {
-		t.Fatal("cancelled mid-stream but not marked interrupted")
+
+	n := mustPlan(t, e, "SELECT a.objid FROM NEIGHBORS(tag a, tag b, 1) WHERE a.r < 20 AND b.r < 20 AND CIRCLE(185, 32, 30)")
+	if d := n.Describe(); len(d.Children) != 2 || d.BuildSide == "self" {
+		t.Errorf("a filter on one side only must keep two scans:\n%s", n.Text())
 	}
 }
 
@@ -779,8 +989,8 @@ func TestPlanAccessPaths(t *testing.T) {
 
 // TestJoinPlanShape: an equi-join with ORDER BY/LIMIT plans as
 // limit → sort → hash-join over a photoobj and a specobj scan, with the
-// WHERE clause pushed down to the photoobj side; NEIGHBORS plans as a
-// neighbor-join carrying its radius.
+// WHERE clause pushed down to the photoobj side; a NEIGHBORS self-join plans
+// as a neighbor-join carrying its radius over one shared scan.
 func TestJoinPlanShape(t *testing.T) {
 	e, _, _ := joinArchive(t, 3000, 13, 1)
 	plan := mustPlan(t, e, "SELECT p.objid, s.z FROM photo p JOIN spec s ON p.objid = s.objid WHERE p.r < 18 ORDER BY s.z LIMIT 10")
@@ -820,7 +1030,7 @@ func TestJoinPlanShape(t *testing.T) {
 	}
 
 	n := mustPlan(t, e, "SELECT a.objid, b.objid FROM NEIGHBORS(tag a, tag b, 2) WHERE a.objid < b.objid").Describe()
-	if n.Op != "neighbor-join" || n.RadiusArcmin != 2 || len(n.Children) != 2 {
+	if n.Op != "neighbor-join" || n.RadiusArcmin != 2 || len(n.Children) != 1 || n.BuildSide != "self" {
 		t.Fatalf("neighbors plan = %+v", n)
 	}
 }

@@ -40,7 +40,7 @@ type OpActual struct {
 	BytesDecoded int64 `json:"bytes_decoded,omitempty"`
 	// Workers counts the workers that touched this operator: scan workers
 	// for a leaf, build partitions for a parallel hash build, probe
-	// goroutines for a neighbor join.
+	// goroutines or merged zone ranges for a neighbor join.
 	Workers int64 `json:"workers,omitempty"`
 	// Morsels is the number of container-run work units a leaf scan was
 	// chunked into.
@@ -63,8 +63,9 @@ type OpNode struct {
 	// false predicate).
 	Access string `json:"access,omitempty"`
 	Filter string `json:"filter,omitempty"`
-	// On is the join condition; BuildSide reports which input the hash
-	// join materializes ("left" or "right" — the smaller estimate).
+	// On is the join condition; BuildSide reports which input a join
+	// materializes ("left" or "right" — the smaller estimate), or "self"
+	// for a neighbor self-join whose one shared input is both sides.
 	On           string  `json:"on,omitempty"`
 	BuildSide    string  `json:"build_side,omitempty"`
 	RadiusArcmin float64 `json:"radius_arcmin,omitempty"`

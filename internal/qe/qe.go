@@ -72,8 +72,9 @@ type Engine struct {
 	CoverDepth int
 	// Workers is each scan's parallelism: a leaf scan runs its morsels on
 	// at most this many goroutines, as do the hash-join build and the
-	// neighbor join's build and probe (default GOMAXPROCS). It bounds each
-	// scan, not the engine: concurrent queries share GOMAXPROCS.
+	// neighbor join's build, probe and merge (default GOMAXPROCS). It
+	// bounds each scan, not the engine: concurrent queries share
+	// GOMAXPROCS.
 	Workers int
 	// NoIndex disables HTM coverage pruning, forcing full-table scans.
 	// It exists for the index-versus-scan crossover experiment (E14).

@@ -10,6 +10,8 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"sdss/internal/sphere"
@@ -161,7 +163,10 @@ type CompiledJoin struct {
 	// Left and Right are the per-side leaf scans. Their Cols hold every
 	// attribute the join needs from that side: projected columns, join
 	// keys, residual-predicate inputs, and the hidden sort/aggregate
-	// operands.
+	// operands. A NEIGHBORS self-join whose two sides push down the same
+	// filter (up to the alias) has Right == Left: one scan projects what
+	// both sides need, so the side positions and attribute tables below are
+	// equal too.
 	Left, Right *CompiledSelect
 
 	// LeftKey/RightKey index the equi-join key within each side's Cols.
@@ -486,8 +491,14 @@ func CompileJoin(sel *Select) (*CompiledJoin, error) {
 		}
 	}
 
-	// Column sets each side must project.
+	// Column sets each side must project. A NEIGHBORS self-join whose sides
+	// push down the same filter shares one: both sides then read one scan.
 	sides := [2]*sideCols{newSideCols(), newSideCols()}
+	shared := js.Kind == JoinNeighbors && refs[0].Table == refs[1].Table &&
+		slices.EqualFunc(pushed[0], pushed[1], sameUpToAlias)
+	if shared {
+		sides[1] = sides[0]
+	}
 
 	// The visible projection, in select-list order.
 	addOut := func(side int, attr AttrID) {
@@ -581,8 +592,9 @@ func CompileJoin(sel *Select) (*CompiledJoin, error) {
 	if err != nil {
 		return nil, err
 	}
-	cj.Right, err = compileSide(refs[1], andAll(pushed[1]), sides[1].attrs)
-	if err != nil {
+	if shared {
+		cj.Right = cj.Left
+	} else if cj.Right, err = compileSide(refs[1], andAll(pushed[1]), sides[1].attrs); err != nil {
 		return nil, err
 	}
 
@@ -630,4 +642,34 @@ func CompileJoin(sel *Select) (*CompiledJoin, error) {
 	cj.LeftAttrIdx = buildIdx(refs[0].Table, sides[0])
 	cj.RightAttrIdx = buildIdx(refs[1].Table, sides[1])
 	return cj, nil
+}
+
+// sameUpToAlias reports whether two analyzed expressions are the same test
+// of one table: identical but for the alias their identifiers carry. A
+// spatial test is never the same: those bind to the left side only.
+func sameUpToAlias(a, b Expr) bool {
+	switch x := a.(type) {
+	case *Ident:
+		y, ok := b.(*Ident)
+		return ok && x.Attr == y.Attr
+	case *NumberLit:
+		y, ok := b.(*NumberLit)
+		return ok && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+	case *StringLit:
+		y, ok := b.(*StringLit)
+		return ok && x.Value == y.Value
+	case *BinaryOp:
+		y, ok := b.(*BinaryOp)
+		return ok && x.Op == y.Op && sameUpToAlias(x.Left, y.Left) && sameUpToAlias(x.Right, y.Right)
+	case *LogicalOp:
+		y, ok := b.(*LogicalOp)
+		return ok && x.Op == y.Op && sameUpToAlias(x.Left, y.Left) && sameUpToAlias(x.Right, y.Right)
+	case *NotOp:
+		y, ok := b.(*NotOp)
+		return ok && sameUpToAlias(x.Child, y.Child)
+	case *FuncCall:
+		y, ok := b.(*FuncCall)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Args, y.Args, sameUpToAlias)
+	}
+	return false
 }
